@@ -127,7 +127,8 @@ def count_parameters(named: list[tuple[str, Tensor]]) -> int:
 
 
 def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
-    """Supervision scores, [T, n_objectives], one row per prefix.
+    """Supervision scores, [T, n_objectives], one row per prefix (or
+    [G, T, n_objectives] for taps of a group).
 
     scores[t] is the prediction for the prefix ending at position t.
     Shadow attention is causal with the same mask as the language side,
@@ -141,7 +142,7 @@ def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
         raise ValueError(f"tap width {taps.d_model} does not match language "
                          f"width {model.lm_config.d_model}")
 
-    mask = causal_mask(taps[0].shape[0])
+    mask = causal_mask(taps[0].shape[-2])
     shadow = T.matmul(taps[0], model.input_proj)
     for k, block in enumerate(model.blocks):
         fused = T.add(T.matmul(T.concat_last(taps[k], shadow), model.fusion_w[k]),

@@ -174,6 +174,28 @@ def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
         "binary_cross_entropy", lambda: T.binary_cross_entropy(p, y), [p, y],
         rtol=rtol))
 
+    # the group forms: a leading axis of 2 over the same ops
+    g1, g2 = t(2, 3, 4), t(2, 4, 2)
+    wg = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 2)))
+    results.append(check_gradients(
+        "matmul (3-d @ 2-d)", lambda: T.mean(T.mul(T.matmul(g1, m2), wg)), [g1, m2]))
+    results.append(check_gradients(
+        "matmul (3-d @ 3-d)", lambda: T.mean(T.mul(T.matmul(g1, g2), wg)), [g1, g2]))
+    wt3 = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4, 3)))
+    results.append(check_gradients(
+        "transpose (3-d)", lambda: T.mean(T.mul(T.transpose(g1), wt3)), [g1]))
+    ws = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 4)))
+    results.append(check_gradients(
+        "masked_fill (shared mask)",
+        lambda: T.mean(T.mul(T.masked_fill(g1, mask, -3.0), ws)), [g1]))
+    # the last position of each row is padding, with weight 0
+    pg = Tensor(rng.uniform(0.15, 0.85, size=(2, 3, 2)), requires_grad=True)
+    yg = Tensor(rng.uniform(0.0, 1.0, size=(2, 3, 2)), requires_grad=True)
+    pw = np.array([[0.5, 0.25, 0.0], [1.0, 0.125, 0.0]])
+    results.append(check_gradients(
+        "binary_cross_entropy (pads)",
+        lambda: T.binary_cross_entropy(pg, yg, weights=pw), [pg, yg], rtol=rtol))
+
     return results
 
 

@@ -101,11 +101,11 @@ class LanguageModel:
 
 @dataclass
 class LayerTaps:
-    """Per-module probe values for one sequence.
+    """Per-module probe values for one sequence or one group of them.
 
     ``tensors[0]`` is the positionally encoded embeddings; ``tensors[k]``
     for k >= 1 is the output of attention module k. All entries are
-    [T, d_model].
+    [T, d_model], or [G, T, d_model] for a group.
     """
 
     tensors: list[Tensor]
@@ -211,16 +211,17 @@ def freeze(model: LanguageModel) -> None:
 
 
 def positional_encode(embeddings: Tensor, max_seq_len: int) -> Tensor:
-    """Add the fixed sinusoidal position table to [T, d] embeddings.
+    """Add the fixed sinusoidal position table to [T, d] (or [G, T, d])
+    embeddings.
 
     pe[pos, 2i] = sin(pos / 10000^(2i/d)), pe[pos, 2i+1] = cos(same).
     The table is a pure function of position, independent of the tokens.
     """
-    t, d = embeddings.shape
+    t, d = embeddings.shape[-2:]
     if t > max_seq_len:
         raise SequenceError(f"sequence of length {t} exceeds max_seq_len={max_seq_len}")
     pe = sinusoid_table(t, d)
-    return T.add(embeddings, Tensor(pe))
+    return T.add(embeddings, Tensor(np.broadcast_to(pe, embeddings.shape)))
 
 
 def sinusoid_table(t: int, d: int) -> np.ndarray:
@@ -267,16 +268,16 @@ def attention_module(params: AttentionModuleParams, x: Tensor,
 
 def _validate_ids(tokens, vocab_size: int, max_seq_len: int) -> np.ndarray:
     ids = np.asarray(tokens)
-    if ids.ndim != 1 or ids.size == 0:
-        raise SequenceError("token sequence must be non-empty and 1-d")
+    if ids.ndim not in (1, 2) or ids.size == 0:
+        raise SequenceError("token ids must be a non-empty [T] or [G, T] array")
     if not np.issubdtype(ids.dtype, np.integer):
         raise SequenceError("token ids must be integers")
     if ids.min() < 0 or ids.max() >= vocab_size:
         bad = int(ids[(ids < 0) | (ids >= vocab_size)][0])
         raise SequenceError(f"token id {bad} out of range for vocabulary "
                             f"of {vocab_size}")
-    if ids.size > max_seq_len:
-        raise SequenceError(f"sequence of length {ids.size} exceeds "
+    if ids.shape[-1] > max_seq_len:
+        raise SequenceError(f"sequence of length {ids.shape[-1]} exceeds "
                             f"max_seq_len={max_seq_len}")
     return ids
 
@@ -284,7 +285,10 @@ def _validate_ids(tokens, vocab_size: int, max_seq_len: int) -> np.ndarray:
 def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
     """Causal forward pass: next-token logits plus the tap stack.
 
-    logits[t] depends only on tokens[0..t]; so do all taps at position t.
+    ``tokens`` is one sequence [T] or a group [G, T] of equal-length rows;
+    a group gives [G, T, ...] logits and taps. logits[t] depends only on
+    tokens[0..t]; so do all taps at position t, so a right-padded row's
+    real positions never see its padding.
     """
     cfg = model.config
     ids = _validate_ids(tokens, cfg.vocab_size, cfg.max_seq_len)
@@ -292,7 +296,7 @@ def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
 
     x = positional_encode(T.embedding_lookup(model.embedding, ids), cfg.max_seq_len)
     taps = [x]
-    mask = causal_mask(ids.size)
+    mask = causal_mask(ids.shape[-1])
     for block in model.blocks:
         x = attention_module(block, x, mask)
         taps.append(x)

@@ -1,13 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Storage is row-major, gradients are exact, and the graph is rebuilt on
-every forward pass. Broadcasting is deliberately narrow: the only
-mismatched-shape operation is adding a vector to every row of an array.
-The op set covers exactly what the two transformer towers need.
+every forward pass. Broadcasting is deliberately narrow: adding a vector
+to every row, a leading group axis on ``matmul``, and a ``[T, T]`` mask
+shared by every matrix of a group. The op set covers exactly what the
+two transformer towers need.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,6 +26,19 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Test instrumentation: when set, called once per node during a backward
 # traversal. Never set in production code.
 _visit_hook: Callable | None = None
+
+# A context variable, so each thread (and task) has its own setting.
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this block, ops build no graph: every result is a plain value."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class ShapeError(ValueError):
@@ -82,8 +98,11 @@ class Tensor:
         """Reverse-mode sweep from this scalar through its graph.
 
         Each graph node is visited exactly once, in reverse topological
-        order. Calling backward twice on the same result without
-        rebuilding the graph is an error.
+        order. Once a node has passed its gradient on, its gradient,
+        closure and parent links are released, so interior buffers are
+        freed during the sweep; leaf tensors keep ``grad``. Calling
+        backward twice on the same result without rebuilding the graph
+        is an error.
         """
         if self.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
@@ -92,13 +111,18 @@ class Tensor:
         if self._backward_done:
             raise GraphError("backward already ran on this graph; rebuild the "
                              "forward pass before differentiating again")
-        graph = build_graph(self)
+        nodes = build_graph(self).nodes
         self.grad = np.ones_like(self.data)
-        for node in reversed(graph.nodes):
+        while nodes:
+            node = nodes.pop()
             if _visit_hook is not None:
                 _visit_hook(node)
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node.grad = None
+                node._backward_fn = None
+                node._parents = ()
         self._backward_done = True
 
     def __repr__(self) -> str:
@@ -152,7 +176,7 @@ def _scalar_err(t: Tensor):
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, True, _parents=parents, _backward=backward, _op=op)
     return Tensor(data)
 
@@ -161,8 +185,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _as_tensor(x) -> Tensor:
@@ -218,27 +243,42 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-d matrix product ``[m,k] @ [k,p] -> [m,p]``."""
+    """Matrix product: ``[m,k] @ [k,p]``, ``[G,m,k] @ [k,p]`` (one shared
+    right operand, run as a single 2-d product over all ``G*m`` rows) or
+    ``[G,m,k] @ [G,k,p]`` (one product per group member)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if not ((a.ndim == 2 and b.ndim == 2) or (a.ndim == 3 and b.ndim == 2)
+            or (a.ndim == 3 and b.ndim == 3 and a.shape[0] == b.shape[0])) \
+            or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    if a.ndim == 3 and b.ndim == 2:
+        k, p = b.shape
+        a2 = a.data.reshape(-1, k)
+        out = (a2 @ b.data).reshape(a.shape[:-1] + (p,))
 
-    def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        def backward(g):
+            g2 = g.reshape(-1, p)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+            _accumulate(b, a2.T @ g2)
+    else:
+        out = a.data @ b.data
+
+        def backward(g):
+            _accumulate(a, g @ b.data.swapaxes(-1, -2))
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
     return _make(out, (a, b), backward, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
     a = _as_tensor(a)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = a.data.T.copy()
+    out = a.data.swapaxes(-1, -2).copy()
 
     def backward(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.swapaxes(-1, -2))
 
     return _make(out, (a,), backward, "transpose")
 
@@ -274,11 +314,13 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where ``mask`` is true with ``value`` (may be -inf).
 
-    No gradient flows through filled positions.
+    ``mask`` may cover only the trailing axes, e.g. one ``[T, T]`` mask for
+    every matrix of a ``[G, T, T]`` group. No gradient flows through
+    filled positions.
     """
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape:
+    if mask.ndim == 0 or mask.shape != a.shape[a.ndim - mask.ndim:]:
         raise ShapeError(f"masked_fill mask shape {mask.shape} != data shape {a.shape}")
     out = np.where(mask, float(value), a.data)
 
@@ -289,13 +331,14 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows ``table[ids]``; gradients scatter-add back into the table."""
+    """Gather rows ``table[ids]`` for a 1-d or 2-d id array; gradients
+    scatter-add back into the table."""
     table = _as_tensor(table)
     ids = np.asarray(ids)
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got shape {table.shape}")
-    if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError("ids must be a 1-d integer sequence")
+    if ids.ndim not in (1, 2) or not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError("ids must be a 1-d or 2-d integer array")
     vocab = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"id out of range for table with {vocab} rows: "
@@ -455,25 +498,40 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _make(out, (logits,), backward, "cross_entropy")
 
 
-def binary_cross_entropy(p: Tensor, y: Tensor, eps: float = BCE_EPS) -> Tensor:
+def binary_cross_entropy(p: Tensor, y: Tensor, eps: float = BCE_EPS,
+                         weights=None) -> Tensor:
     """Mean of -[y*log(p) + (1-y)*log(1-p)] with p clamped to [eps, 1-eps].
 
-    Entries that hit the clamp pass no gradient.
+    With ``weights``, one per position (shape ``p.shape[:-1]``), the result
+    is instead the weighted sum of every entry's loss, each entry taking
+    its position's weight; a zero weight drops a position, padding
+    included. Entries that hit the clamp pass no gradient.
     """
     p, y = _as_tensor(p), _as_tensor(y)
     if p.shape != y.shape:
         raise ShapeError(f"binary_cross_entropy shape mismatch: {p.shape} vs {y.shape}")
     pc = np.clip(p.data, eps, 1.0 - eps)
-    out = np.asarray(np.mean(-(y.data * np.log(pc) + (1.0 - y.data) * np.log1p(-pc))))
+    terms = -(y.data * np.log(pc) + (1.0 - y.data) * np.log1p(-pc))
+    if weights is None:
+        out = np.asarray(np.mean(terms))
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != p.shape[:-1]:
+            raise ShapeError(f"binary_cross_entropy weights shape {w.shape} does not "
+                             f"match positions {p.shape[:-1]}")
+        w = w[..., None]
+        out = np.asarray(np.sum(w * terms))
     inside = (p.data > eps) & (p.data < 1.0 - eps)
 
+    def reduce(x):
+        return x / pc.size if weights is None else x * w
+
     def backward(g):
-        n = pc.size
         if p.requires_grad:
             gp = (pc - y.data) / (pc * (1.0 - pc)) * inside
-            _accumulate(p, float(g) * gp / n)
+            _accumulate(p, reduce(float(g) * gp))
         if y.requires_grad:
-            _accumulate(y, float(g) * (np.log1p(-pc) - np.log(pc)) / n)
+            _accumulate(y, reduce(float(g) * (np.log1p(-pc) - np.log(pc))))
 
     return _make(out, (p, y), backward, "binary_cross_entropy")
 

@@ -17,9 +17,13 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import parameter_checksum
 from .doppelganger import BicameralModel, doppel_forward, parameters as doppel_parameters
-from .language import FrozenModelError, forward, named_parameters as lm_named
+from .language import FrozenModelError, LayerTaps, forward, named_parameters as lm_named
 from .optim import OptimConfig
 from .tensor import Tensor
+
+# Sequences per padded group: one autodiff graph covers this many. Larger
+# groups save no more time at desk scale but hold more graph memory.
+GROUP_SIZE = 4
 
 
 @dataclass
@@ -27,7 +31,7 @@ class SupervisedSequence:
     """Token ids plus one label row per prefix.
 
     labels[t][i] is ground-truth signal i for the prefix tokens[0..t],
-    always in [0, 1].
+    always finite and in [0, 1]. There is at least one token.
     """
 
     tokens: list[int]
@@ -35,9 +39,13 @@ class SupervisedSequence:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
+        if len(self.tokens) == 0:
+            raise ValueError("a supervised sequence needs at least one token")
         if self.labels.ndim != 2 or self.labels.shape[0] != len(self.tokens):
             raise ValueError(f"labels shape {self.labels.shape} does not give one "
                              f"row per token ({len(self.tokens)})")
+        if not np.all(np.isfinite(self.labels)):
+            raise ValueError("labels must be finite")
         if self.labels.size and (self.labels.min() < 0.0 or self.labels.max() > 1.0):
             raise ValueError("labels must lie in [0, 1]")
 
@@ -183,10 +191,42 @@ class TrainLogEntry:
                 "val_loss": self.val_loss, "val_acc": self.val_acc}
 
 
+def _groups(indices) -> list:
+    return [indices[s:s + GROUP_SIZE] for s in range(0, len(indices), GROUP_SIZE)]
+
+
+def _pad(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack [len_i, ...] arrays into [len(rows), max len_i, ...], right-padded
+    with zeros (False for masks)."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:],
+                   dtype=np.result_type(*rows))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
 def _cached_taps(bm: BicameralModel, data: list[SupervisedSequence]):
-    # the language tower is frozen, so taps per sequence are constants
-    # and one pass per sequence serves every epoch
-    return [forward(bm.language, seq.tokens)[1] for seq in data]
+    # the language tower is frozen, so taps per sequence are constants and
+    # one padded pass per group serves every epoch; padding sits after each
+    # real row, where the causal mask keeps it out of every real position
+    taps = []
+    for group in _groups(data):
+        _, group_taps = forward(bm.language, _pad([np.asarray(s.tokens) for s in group]))
+        for i, seq in enumerate(group):
+            taps.append([t.data[i, :len(seq.tokens)] for t in group_taps])
+    return taps
+
+
+def _group_forward(model, taps, data, group):
+    """Shadow scores [G, T, n] for the right-padded group of sequences
+    ``group`` (indices into ``data``), with the padded labels and the
+    [G, T] mask of real positions."""
+    n_taps = len(taps[group[0]])
+    group_taps = LayerTaps([Tensor(_pad([taps[i][k] for i in group]))
+                            for k in range(n_taps)])
+    labels = _pad([data[i].labels for i in group])
+    real = _pad([np.ones(len(data[i].tokens), dtype=bool) for i in group])
+    return doppel_forward(model, group_taps), labels, real
 
 
 def _check_labels(data: list[SupervisedSequence], n_objectives: int, name: str):
@@ -198,16 +238,41 @@ def _check_labels(data: list[SupervisedSequence], n_objectives: int, name: str):
                              f"model predicts {n_objectives}")
 
 
-def _loss_and_metrics(model, taps, data, n_objectives):
-    total_loss = 0.0
-    correct = np.zeros(n_objectives)
-    positions = 0
-    for tap, seq in zip(taps, data):
-        scores = doppel_forward(model, tap)
-        total_loss += T.binary_cross_entropy(scores, Tensor(seq.labels)).item() * len(seq.tokens)
-        correct += np.sum((scores.data >= 0.5) == (seq.labels >= 0.5), axis=0)
-        positions += len(seq.tokens)
-    return total_loss / positions, (correct / positions).tolist()
+def _real_scores(model, taps, data) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels at every real position, [positions, n], from one
+    gradient-free shadow pass per group."""
+    scores, labels = [], []
+    with T.no_grad():
+        for group in _groups(range(len(data))):
+            s, y, real = _group_forward(model, taps, data, group)
+            scores.append(s.data[real])
+            labels.append(y[real])
+    return np.concatenate(scores), np.concatenate(labels)
+
+
+def _mean_bce(scores: np.ndarray, labels: np.ndarray) -> float:
+    return T.binary_cross_entropy(Tensor(scores), Tensor(labels)).item()
+
+
+def _loss_and_metrics(scores: np.ndarray, labels: np.ndarray):
+    accuracy = np.mean((scores >= 0.5) == (labels >= 0.5), axis=0)
+    return _mean_bce(scores, labels), accuracy.tolist()
+
+
+def _group_loss(model, taps, data, group, batch_len: int):
+    """Training loss of one padded group from an optimizer batch of
+    ``batch_len`` sequences, plus the scores and labels at its real
+    positions.
+
+    Position t of sequence i weighs 1 / (batch_len * len_i * n_objectives)
+    and padding weighs 0, so the losses of a batch's groups sum to the
+    mean over each sequence's entries, then over the batch.
+    """
+    scores, labels, real = _group_forward(model, taps, data, group)
+    lengths = real.sum(axis=1, keepdims=True)
+    weights = real / (batch_len * lengths * labels.shape[-1])
+    loss = T.binary_cross_entropy(scores, Tensor(labels), weights=weights)
+    return loss, scores.data[real], labels[real]
 
 
 def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
@@ -234,8 +299,8 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
     train_taps = _cached_taps(bm, train)
     val_taps = _cached_taps(bm, val)
 
-    base_train, _ = _loss_and_metrics(bm.doppel, train_taps, train, n)
-    base_val, base_acc = _loss_and_metrics(bm.doppel, val_taps, val, n)
+    base_train = _mean_bce(*_real_scores(bm.doppel, train_taps, train))
+    base_val, base_acc = _loss_and_metrics(*_real_scores(bm.doppel, val_taps, val))
     log = [TrainLogEntry(0, base_train, base_val, base_acc)]
 
     best_val = base_val
@@ -248,16 +313,15 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
         for start in range(0, len(order), opt.batch_size):
             batch = order[start:start + opt.batch_size]
             T.zero_grads(params)
-            for i in batch:
-                seq = train[i]
-                scores = doppel_forward(bm.doppel, train_taps[i])
-                loss = T.binary_cross_entropy(scores, Tensor(seq.labels))
-                epoch_loss += loss.item() * len(seq.tokens)
-                epoch_positions += len(seq.tokens)
-                T.scale(loss, 1.0 / len(batch)).backward()
+            for group in _groups(batch):
+                loss, scores, labels = _group_loss(bm.doppel, train_taps, train,
+                                                   group, len(batch))
+                loss.backward()
+                epoch_loss += len(scores) * _mean_bce(scores, labels)
+                epoch_positions += len(scores)
             T.adam_step(params, [p.grad for p in params], state,
                         lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
-        val_loss, val_acc = _loss_and_metrics(bm.doppel, val_taps, val, n)
+        val_loss, val_acc = _loss_and_metrics(*_real_scores(bm.doppel, val_taps, val))
         log.append(TrainLogEntry(epoch, epoch_loss / epoch_positions, val_loss, val_acc))
         if val_loss < best_val - 1e-12:
             best_val = val_loss
@@ -282,21 +346,14 @@ def evaluate(bm: BicameralModel, data: list[SupervisedSequence],
     buckets of predicted score vs mean label."""
     n = bm.doppel.config.n_objectives
     _check_labels(data, n, "eval")
-    taps = _cached_taps(bm, data)
-    bce, acc = _loss_and_metrics(bm.doppel, taps, data, n)
+    scores, labels = _real_scores(bm.doppel, _cached_taps(bm, data), data)
+    bce, acc = _loss_and_metrics(scores, labels)
 
     edges = np.linspace(0.0, 1.0, n_buckets + 1)
-    counts = np.zeros(n_buckets, dtype=int)
-    pred_sum = np.zeros(n_buckets)
-    label_sum = np.zeros(n_buckets)
-    for tap, seq in zip(taps, data):
-        scores = doppel_forward(bm.doppel, tap).data
-        idx = np.clip(np.digitize(scores, edges) - 1, 0, n_buckets - 1)
-        for b in range(n_buckets):
-            sel = idx == b
-            counts[b] += int(sel.sum())
-            pred_sum[b] += float(scores[sel].sum())
-            label_sum[b] += float(seq.labels[sel].sum())
+    idx = np.clip(np.digitize(scores, edges) - 1, 0, n_buckets - 1).ravel()
+    counts = np.bincount(idx, minlength=n_buckets)
+    pred_sum = np.bincount(idx, weights=scores.ravel(), minlength=n_buckets)
+    label_sum = np.bincount(idx, weights=labels.ravel(), minlength=n_buckets)
     calibration = []
     for b in range(n_buckets):
         calibration.append({
@@ -306,4 +363,4 @@ def evaluate(bm: BicameralModel, data: list[SupervisedSequence],
             "mean_label": float(label_sum[b] / counts[b]) if counts[b] else None,
         })
     return {"bce": bce, "accuracy": acc, "calibration": calibration,
-            "n_positions": int(sum(len(s.tokens) for s in data))}
+            "n_positions": int(len(scores))}

@@ -125,6 +125,23 @@ class TestExitCodes:
                    monkeypatch, tmp_path) == 3
         assert "not frozen" in capsys.readouterr().err
 
+    def test_train_doppel_rejects_non_finite_label(self, tmp_path, monkeypatch,
+                                                  capsys):
+        write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,
+                                          d_ff=32), n_sequences=16, epochs=1)
+        assert run(["--config", "run.json", "pretrain"], monkeypatch, tmp_path) == 0
+        assert run(["--config", "run.json", "make-data"], monkeypatch, tmp_path) == 0
+        lines = (tmp_path / "train.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        first["labels"][0][0] = float("nan")
+        lines[0] = json.dumps(first)
+        (tmp_path / "train.jsonl").write_text("\n".join(lines) + "\n")
+        checkpoint = (tmp_path / "model.ckpt").read_bytes()
+        assert run(["--config", "run.json", "train-doppel"],
+                   monkeypatch, tmp_path) == 2
+        assert "finite" in capsys.readouterr().err
+        assert (tmp_path / "model.ckpt").read_bytes() == checkpoint
+
     def test_generate_refuses_language_only_checkpoint(self, tmp_path, monkeypatch,
                                                        capsys):
         write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -47,6 +48,21 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+    def test_group_forms_match_per_member_products(self):
+        rng = np.random.default_rng(12)
+        a, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 2)), rng.normal(size=(3, 4, 6))
+        shared = T.matmul(Tensor(a), Tensor(w)).data
+        paired = T.matmul(Tensor(a), Tensor(b)).data
+        for g in range(3):
+            np.testing.assert_allclose(shared[g], a[g] @ w, rtol=1e-12)
+            np.testing.assert_allclose(paired[g], a[g] @ b[g], rtol=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3, 4)), ((2, 3, 4), (3, 4, 5)),
+                                        ((2, 3, 4), (5, 2))])
+    def test_group_shape_errors(self, shapes):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.zeros(shapes[0])), Tensor(np.zeros(shapes[1])))
 
 
 class TestSoftmax:
@@ -177,6 +193,15 @@ class TestBinaryCrossEntropy:
         out = T.binary_cross_entropy(Tensor(p), Tensor(y))
         assert out.item() == pytest.approx(expected, rel=1e-12)
 
+    def test_weighted_sum_over_positions(self):
+        p = np.array([[[0.2, 0.7], [0.4, 0.9]]])
+        y = np.array([[[0.0, 1.0], [1.0, 1.0]]])
+        w = np.array([[0.25, 0.0]])
+        got = T.binary_cross_entropy(Tensor(p), Tensor(y), weights=w).item()
+        assert math.isclose(got, 0.25 * -(math.log(0.8) + math.log(0.7)), rel_tol=1e-12)
+        with pytest.raises(ShapeError, match="weights"):
+            T.binary_cross_entropy(Tensor(p), Tensor(y), weights=np.ones((1, 2, 2)))
+
     def test_clamped_entries_pass_no_gradient(self):
         p = Tensor([0.0, 0.5], requires_grad=True)
         T.binary_cross_entropy(p, Tensor([0.0, 0.0])).backward()
@@ -218,12 +243,48 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(x.grad, [2.0])
 
+    def test_interior_gradients_released_leaf_gradients_kept(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = T.mul(x, x)
+        loss = T.mean(y)
+        loss.backward()
+        assert y.grad is None and y._parents == () and y._backward_fn is None
+        np.testing.assert_allclose(x.grad, [1.0, 2.0])
+
     def test_frozen_inputs_build_no_graph(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0], [4.0]])
         out = T.matmul(a, b)
         assert not out.requires_grad
         assert out._parents == ()
+
+
+class TestNoGrad:
+    def test_builds_no_graph_inside_only(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        with T.no_grad():
+            inside = T.matmul(x, T.transpose(x))
+        assert not inside.requires_grad and inside._parents == ()
+        assert T.matmul(x, T.transpose(x)).requires_grad
+
+    def test_setting_is_per_thread(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with T.no_grad():
+                entered.set()
+                release.wait(timeout=10.0)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10.0)
+            x = Tensor([1.0, 2.0], requires_grad=True)
+            assert T.mul(x, x).requires_grad
+        finally:
+            release.set()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
 
 
 class TestDeterminism:
@@ -278,6 +339,14 @@ class TestMiscOps:
         out = T.embedding_lookup(table, np.array([1, 1, 0]))
         T.scale(T.mean(out), out.size).backward()
         np.testing.assert_allclose(table.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+
+    def test_masked_fill_broadcasts_mask_over_group(self):
+        x = Tensor(np.ones((3, 2, 2)))
+        mask = np.array([[False, True], [False, False]])
+        out = T.masked_fill(x, mask, -1.0).data
+        assert np.all(out[:, 0, 1] == -1.0) and np.sum(out == -1.0) == 3
+        with pytest.raises(ShapeError):
+            T.masked_fill(x, np.zeros((3, 3), dtype=bool), 0.0)
 
     def test_masked_fill_blocks_gradient(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from bicameral import tensor as T
+from bicameral import training
 from bicameral.checkpoint import parameter_checksum
-from bicameral.doppelganger import BicameralModel, DoppelConfig, init_doppelganger
+from bicameral.doppelganger import (BicameralModel, DoppelConfig, doppel_forward,
+                                    init_doppelganger, score_prefixes)
 from bicameral.doppelganger import named_parameters as doppel_named
 from bicameral.language import (FrozenModelError, LMConfig, forward, freeze,
                                 init_language_model)
@@ -113,6 +116,15 @@ class TestDatasetGeneration:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SupervisedSequence(tokens=[0, 1], labels=np.array([[0.5], [1.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_labels_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SupervisedSequence(tokens=[0, 1], labels=np.array([[0.5], [bad]]))
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one token"):
+            SupervisedSequence(tokens=[], labels=np.zeros((0, 1)))
+
     def test_label_length_validated(self):
         with pytest.raises(ValueError, match="one\\s+row per token"):
             SupervisedSequence(tokens=[0, 1, 2], labels=np.zeros((2, 1)))
@@ -186,7 +198,72 @@ class TestTrainDoppelganger:
                    for n, p in doppel_named(bm.doppel))
 
 
+class TestPaddedGroups:
+    """A padded group must reproduce the per-sequence computation."""
+
+    def group_of_unequal_lengths(self, n_objectives=2):
+        bm = make_bicameral(n_objectives=n_objectives, seed=14)
+        rng = np.random.default_rng(15)
+        data = [SupervisedSequence(tokens=rng.integers(0, 8, size=n).tolist(),
+                                   labels=rng.uniform(size=(n, n_objectives)))
+                for n in (5, 11, 1, 8)]
+        return bm, data
+
+    def test_loss_and_gradients_match_per_sequence_loop(self):
+        bm, data = self.group_of_unequal_lengths()
+        params = [p for _, p in doppel_named(bm.doppel)]
+        batch_len = len(data) + 2  # the group is part of a larger batch
+
+        # reference: the per-sequence loop, one graph per sequence
+        T.zero_grads(params)
+        ref_loss = 0.0
+        for seq in data:
+            scores = score_prefixes(bm, seq.tokens)
+            loss = T.scale(T.binary_cross_entropy(scores, T.Tensor(seq.labels)),
+                           1.0 / batch_len)
+            ref_loss += loss.item()
+            loss.backward()
+        ref_grads = [p.grad.copy() for p in params]
+
+        T.zero_grads(params)
+        taps = training._cached_taps(bm, data)
+        loss, scores, labels = training._group_loss(bm.doppel, taps, data,
+                                                    list(range(len(data))), batch_len)
+        loss.backward()
+        assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for p, ref in zip(params, ref_grads):
+            np.testing.assert_allclose(p.grad, ref, rtol=1e-12)
+        assert len(scores) == len(labels) == sum(len(s.tokens) for s in data)
+
+    def test_real_rows_match_each_sequence_alone(self):
+        bm, data = self.group_of_unequal_lengths()
+        taps = training._cached_taps(bm, data)
+        scores, _, real = training._group_forward(bm.doppel, taps, data,
+                                                  list(range(len(data))))
+        assert scores.shape[:2] == real.shape == (len(data), 11)
+        for i, seq in enumerate(data):
+            alone = score_prefixes(bm, seq.tokens).data
+            assert real[i].sum() == len(seq.tokens)
+            np.testing.assert_allclose(scores.data[i, :len(seq.tokens)], alone,
+                                       rtol=0.0, atol=1e-12)
+
+
 class TestEvaluate:
+    def test_one_shadow_pass_per_group(self, monkeypatch):
+        bm = make_bicameral(seed=16)
+        data, _ = generate_synthetic_dataset(forbidden_spec(n_sequences=10,
+                                                            val_fraction=0.0, seed=17))
+        calls = []
+
+        def counting(model, taps):
+            calls.append(taps[0].shape)
+            return doppel_forward(model, taps)
+
+        monkeypatch.setattr(training, "doppel_forward", counting)
+        metrics = evaluate(bm, data)
+        assert len(calls) == -(-len(data) // training.GROUP_SIZE)
+        assert sum(b["count"] for b in metrics["calibration"]) == metrics["n_positions"]
+
     def test_pure_and_structured(self):
         bm = make_bicameral(seed=10)
         data, _ = generate_synthetic_dataset(forbidden_spec(n_sequences=12,
