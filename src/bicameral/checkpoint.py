@@ -26,7 +26,7 @@ import numpy as np
 from .tensor import Tensor
 
 MAGIC = b"BCAM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -70,6 +70,24 @@ def save_checkpoint(path: str | Path, config: dict,
         out += payload
     out += digest.digest()[:8]
     Path(path).write_bytes(bytes(out))
+
+
+def load_named(named: list[tuple[str, Tensor]], values: dict[str, np.ndarray],
+               prefix: str = "") -> None:
+    """Copy ``values[prefix + name]`` into each named parameter, in place.
+
+    A missing record, or one whose shape differs from the parameter's,
+    makes the checkpoint incompatible with the model it is loaded into.
+    """
+    for name, param in named:
+        key = prefix + name
+        if key not in values:
+            raise CheckpointError(f"checkpoint is missing parameter {key!r}")
+        arr = values[key]
+        if arr.shape != param.shape:
+            raise CheckpointError(f"parameter {key!r} has shape {arr.shape}, "
+                                  f"expected {param.shape}")
+        param.data = arr.astype(np.float64).copy()
 
 
 @dataclass

@@ -134,14 +134,23 @@ def _load_models(path: Path, need_doppel: bool = False):
     block = ckpt.config
     if block.get("kind") != CHECKPOINT_KIND:
         raise RefusalError(f"{path} is not a {CHECKPOINT_KIND}")
-    tokenizer = CharTokenizer(block["alphabet"])
-    lm = init_language_model(LMConfig(**block["lm"]))
+    try:
+        tokenizer = CharTokenizer(block["alphabet"])
+        lm_cfg = LMConfig(**block["lm"])
+        doppel_cfg = (DoppelConfig(**block["doppel"])
+                      if block.get("doppel") is not None else None)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RefusalError(f"{path} has an incompatible configuration: {exc}") from exc
+    if tokenizer.vocab_size != lm_cfg.vocab_size:
+        raise RefusalError(f"{path} has an alphabet of {tokenizer.vocab_size} characters "
+                           f"for a vocabulary of {lm_cfg.vocab_size}")
+    lm = init_language_model(lm_cfg)
     lm_load(lm, ckpt.params, prefix="lm.")
     if block.get("frozen"):
         freeze(lm)
     doppel = None
-    if block.get("doppel") is not None:
-        doppel = init_doppelganger(lm.config, DoppelConfig(**block["doppel"]))
+    if doppel_cfg is not None:
+        doppel = init_doppelganger(lm.config, doppel_cfg)
         doppel_load(doppel, ckpt.params, prefix="doppel.")
     if need_doppel and doppel is None:
         raise RefusalError(f"{path} has no shadow-tower parameters; train one first")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import load_named
 from .language import (AttentionModuleParams, LanguageModel, LayerTaps,
                        attention_module, causal_mask, forward,
                        init_attention_module, LMConfig)
@@ -82,7 +83,7 @@ def init_doppelganger(lm_config: LMConfig, config: DoppelConfig,
         config=config,
         lm_config=lm_config,
         input_proj=Tensor(proj, requires_grad=True),
-        blocks=[init_attention_module(ds, config.n_heads_shadow, config.d_ff_shadow, rng)
+        blocks=[init_attention_module(ds, config.d_ff_shadow, rng)
                 for _ in range(lm_config.n_layers)],
         fusion_w=fusion_w,
         fusion_b=[Tensor(np.zeros(ds), requires_grad=True)
@@ -111,15 +112,7 @@ def parameters(model: DoppelgangerModel) -> list[Tensor]:
 
 def load_parameters(model: DoppelgangerModel, values: dict[str, np.ndarray],
                     prefix: str = "") -> None:
-    for name, param in named_parameters(model):
-        key = prefix + name
-        if key not in values:
-            raise KeyError(f"checkpoint is missing parameter {key!r}")
-        arr = values[key]
-        if arr.shape != param.shape:
-            raise ValueError(f"parameter {key!r} has shape {arr.shape}, "
-                             f"expected {param.shape}")
-        param.data = arr.astype(np.float64).copy()
+    load_named(named_parameters(model), values, prefix)
 
 
 def count_parameters(named: list[tuple[str, Tensor]]) -> int:
@@ -147,7 +140,7 @@ def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
     for k, block in enumerate(model.blocks):
         fused = T.add(T.matmul(T.concat_last(taps[k], shadow), model.fusion_w[k]),
                       model.fusion_b[k])
-        shadow = attention_module(block, fused, mask)
+        shadow = attention_module(block, fused, mask, model.config.n_heads_shadow)
     h = T.layer_norm(shadow, model.lnf_gain, model.lnf_bias)
     return T.sigmoid(T.add(T.matmul(h, model.head_w), model.head_b))
 

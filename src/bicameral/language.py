@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import parameter_checksum
+from .checkpoint import load_named, parameter_checksum
 from .optim import OptimConfig
 from .tensor import Tensor
 
@@ -46,10 +46,6 @@ class LMConfig:
             raise ValueError(f"d_model={self.d_model} is not divisible by "
                              f"n_heads={self.n_heads}")
 
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
-
     def to_dict(self) -> dict:
         return {"vocab_size": self.vocab_size, "d_model": self.d_model,
                 "n_layers": self.n_layers, "n_heads": self.n_heads,
@@ -58,11 +54,15 @@ class LMConfig:
 
 @dataclass
 class AttentionModuleParams:
-    """One attention module: per-head projections, output mix, FFN, norms."""
+    """One attention module: q/k/v projections, output mix, FFN, norms.
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    ``wq``, ``wk`` and ``wv`` are [d, d]; head h owns columns
+    h*dh:(h+1)*dh of each, so the shapes do not depend on the head count.
+    """
+
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
     w1: Tensor
     b1: Tensor
@@ -74,16 +74,12 @@ class AttentionModuleParams:
     ln2_bias: Tensor
 
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for h, (q, k, v) in enumerate(zip(self.wq, self.wk, self.wv)):
-            out += [(f"{prefix}.head{h}.wq", q), (f"{prefix}.head{h}.wk", k),
-                    (f"{prefix}.head{h}.wv", v)]
-        out += [(f"{prefix}.wo", self.wo),
+        return [(f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk),
+                (f"{prefix}.wv", self.wv), (f"{prefix}.wo", self.wo),
                 (f"{prefix}.ffn.w1", self.w1), (f"{prefix}.ffn.b1", self.b1),
                 (f"{prefix}.ffn.w2", self.w2), (f"{prefix}.ffn.b2", self.b2),
                 (f"{prefix}.ln1.gain", self.ln1_gain), (f"{prefix}.ln1.bias", self.ln1_bias),
                 (f"{prefix}.ln2.gain", self.ln2_gain), (f"{prefix}.ln2.bias", self.ln2_bias)]
-        return out
 
 
 @dataclass
@@ -133,15 +129,12 @@ def _init_matrix(rng: np.random.Generator | None, rows: int, cols: int,
     return Tensor(data, requires_grad=True)
 
 
-def init_attention_module(d: int, n_heads: int, d_ff: int,
+def init_attention_module(d: int, d_ff: int,
                           rng: np.random.Generator | None) -> AttentionModuleParams:
-    dh = d // n_heads
     ones = lambda n: Tensor(np.ones(n), requires_grad=True)
     zeros = lambda n: Tensor(np.zeros(n), requires_grad=True)
     return AttentionModuleParams(
-        wq=[_init_matrix(rng, d, dh) for _ in range(n_heads)],
-        wk=[_init_matrix(rng, d, dh) for _ in range(n_heads)],
-        wv=[_init_matrix(rng, d, dh) for _ in range(n_heads)],
+        wq=_init_matrix(rng, d, d), wk=_init_matrix(rng, d, d), wv=_init_matrix(rng, d, d),
         wo=_init_matrix(rng, d, d),
         w1=_init_matrix(rng, d, d_ff), b1=zeros(d_ff),
         w2=_init_matrix(rng, d_ff, d), b2=zeros(d),
@@ -164,7 +157,7 @@ def init_language_model(config: LMConfig,
     return LanguageModel(
         config=config,
         embedding=_init_matrix(rng, config.vocab_size, config.d_model, std=1.0),
-        blocks=[init_attention_module(config.d_model, config.n_heads, config.d_ff, rng)
+        blocks=[init_attention_module(config.d_model, config.d_ff, rng)
                 for _ in range(config.n_layers)],
         lnf_gain=Tensor(np.ones(config.d_model), requires_grad=True),
         lnf_bias=Tensor(np.zeros(config.d_model), requires_grad=True),
@@ -187,15 +180,7 @@ def parameters(model: LanguageModel) -> list[Tensor]:
 
 def load_parameters(model: LanguageModel, values: dict[str, np.ndarray],
                     prefix: str = "") -> None:
-    for name, param in named_parameters(model):
-        key = prefix + name
-        if key not in values:
-            raise KeyError(f"checkpoint is missing parameter {key!r}")
-        arr = values[key]
-        if arr.shape != param.shape:
-            raise ValueError(f"parameter {key!r} has shape {arr.shape}, "
-                             f"expected {param.shape}")
-        param.data = arr.astype(np.float64).copy()
+    load_named(named_parameters(model), values, prefix)
 
 
 def freeze(model: LanguageModel) -> None:
@@ -241,23 +226,26 @@ def causal_mask(t: int) -> np.ndarray:
 
 
 def attention_module(params: AttentionModuleParams, x: Tensor,
-                     mask: np.ndarray) -> Tensor:
-    """Pre-norm residual block: masked multi-head attention then FFN."""
-    dh = params.wq[0].shape[1]
-    inv_sqrt = 1.0 / math.sqrt(dh)
+                     mask: np.ndarray, n_heads: int) -> Tensor:
+    """Pre-norm residual block: masked multi-head attention then FFN.
+
+    ``x`` is [..., T, d]. Every head runs in the same ops: q, k and v are
+    split to [..., H, T, dh], the scores are [..., H, T, T] under the
+    shared [T, T] mask, and the heads merge back to [..., T, d].
+    """
+    *lead, t, d = x.shape
+    dh = d // n_heads
+
+    def split(a: Tensor) -> Tensor:
+        return T.transpose(T.reshape(a, (*lead, t, n_heads, dh)), -3, -2)
 
     h = T.layer_norm(x, params.ln1_gain, params.ln1_bias)
-    heads: list[Tensor] = []
-    for wq, wk, wv in zip(params.wq, params.wk, params.wv):
-        q = T.matmul(h, wq)
-        k = T.matmul(h, wk)
-        v = T.matmul(h, wv)
-        scores = T.scale(T.matmul(q, T.transpose(k)), inv_sqrt)
-        scores = T.masked_fill(scores, mask, float("-inf"))
-        heads.append(T.matmul(T.softmax(scores, axis=-1), v))
-    merged = heads[0]
-    for extra in heads[1:]:
-        merged = T.concat_last(merged, extra)
+    q, k, v = (split(T.matmul(h, w)) for w in (params.wq, params.wk, params.wv))
+    # scaling q rather than the scores saves a pass over [..., H, T, T]
+    scores = T.matmul(T.scale(q, 1.0 / math.sqrt(dh)), T.transpose(k))
+    scores = T.masked_fill(scores, mask, float("-inf"))
+    heads = T.matmul(T.softmax(scores, axis=-1), v)
+    merged = T.reshape(T.transpose(heads, -3, -2), (*lead, t, d))
     x = T.add(x, T.matmul(merged, params.wo))
 
     f = T.layer_norm(x, params.ln2_gain, params.ln2_bias)
@@ -298,7 +286,7 @@ def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
     taps = [x]
     mask = causal_mask(ids.shape[-1])
     for block in model.blocks:
-        x = attention_module(block, x, mask)
+        x = attention_module(block, x, mask, cfg.n_heads)
         taps.append(x)
     h = T.layer_norm(x, model.lnf_gain, model.lnf_bias)
     logits = T.matmul(h, model.head)

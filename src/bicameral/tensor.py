@@ -2,9 +2,11 @@
 
 Storage is row-major, gradients are exact, and the graph is rebuilt on
 every forward pass. Broadcasting is deliberately narrow: adding a vector
-to every row, a leading group axis on ``matmul``, and a ``[T, T]`` mask
-shared by every matrix of a group. The op set covers exactly what the
-two transformer towers need.
+to every row, leading axes on ``matmul`` (a group of sequences, and the
+heads of one attention module), and a ``[T, T]`` mask shared by every
+matrix of a ``[..., T, T]`` stack. ``reshape`` and two-axis ``transpose``
+move the heads in and out of their own axis. The op set covers exactly
+what the two transformer towers need.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class Tensor:
         if self._backward_done:
             raise GraphError("backward already ran on this graph; rebuild the "
                              "forward pass before differentiating again")
-        nodes = build_graph(self).nodes
+        nodes = build_graph(self)
         self.grad = np.ones_like(self.data)
         while nodes:
             node = nodes.pop()
@@ -139,20 +141,10 @@ class Tensor:
         return matmul(self, other)
 
 
-@dataclass
-class ComputationGraph:
-    """Topologically ordered record of one forward pass.
-
-    ``nodes`` lists every tensor reachable from ``root`` through parent
-    links, parents strictly before children. The graph is acyclic by
-    construction: parent links are fixed at creation time.
-    """
-
-    root: Tensor
-    nodes: list[Tensor]
-
-
-def build_graph(root: Tensor) -> ComputationGraph:
+def build_graph(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root`` through parent links, parents
+    strictly before children. The graph is acyclic by construction:
+    parent links are fixed at creation time."""
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -168,7 +160,7 @@ def build_graph(root: Tensor) -> ComputationGraph:
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    return ComputationGraph(root, order)
+    return order
 
 
 def _scalar_err(t: Tensor):
@@ -243,15 +235,16 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: ``[m,k] @ [k,p]``, ``[G,m,k] @ [k,p]`` (one shared
-    right operand, run as a single 2-d product over all ``G*m`` rows) or
-    ``[G,m,k] @ [G,k,p]`` (one product per group member)."""
+    """Matrix product over the last two axes, in two forms:
+    ``[..., m, k] @ [k, p]`` (one shared right operand, run as a single
+    2-d product over all leading rows) and ``[..., m, k] @ [..., k, p]``
+    with equal leading axes (one product per leading index)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if not ((a.ndim == 2 and b.ndim == 2) or (a.ndim == 3 and b.ndim == 2)
-            or (a.ndim == 3 and b.ndim == 3 and a.shape[0] == b.shape[0])) \
-            or a.shape[-1] != b.shape[-2]:
+    shared = a.ndim >= 2 and b.ndim == 2
+    paired = a.ndim == b.ndim >= 3 and a.shape[:-2] == b.shape[:-2]
+    if not (shared or paired) or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 2:
+    if shared:
         k, p = b.shape
         a2 = a.data.reshape(-1, k)
         out = (a2 @ b.data).reshape(a.shape[:-1] + (p,))
@@ -270,15 +263,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
+def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
+    """Swap two axes, by default the last two."""
     a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = a.data.swapaxes(-1, -2).copy()
+    if not (-a.ndim <= axis1 < a.ndim and -a.ndim <= axis2 < a.ndim):
+        raise ShapeError(f"transpose axes ({axis1}, {axis2}) invalid for shape {a.shape}")
+    out = a.data.swapaxes(axis1, axis2).copy()
 
     def backward(g):
-        _accumulate(a, g.swapaxes(-1, -2))
+        _accumulate(a, g.swapaxes(axis1, axis2))
 
     return _make(out, (a,), backward, "transpose")
 
@@ -358,16 +351,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _make(out, (a,), backward, "relu")
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5*x*(1 + erf(x/sqrt(2)))."""
     a = _as_tensor(a)
@@ -410,9 +393,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    m = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = a.data - np.max(a.data, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
 
     def backward(g):
         inner = np.sum(g * out, axis=axis, keepdims=True)

@@ -27,13 +27,15 @@ def ref_sigmoid(x):
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def ref_block(x, blk):
-    t = x.shape[0]
+def ref_block(x, blk, n_heads):
+    t, d = x.shape
+    dh = d // n_heads
     h = ref_layer_norm(x, blk.ln1_gain.data, blk.ln1_bias.data)
     heads = []
-    for wq, wk, wv in zip(blk.wq, blk.wk, blk.wv):
-        q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
-        s = q @ k.T / math.sqrt(wq.data.shape[1])
+    for cols in (slice(i * dh, (i + 1) * dh) for i in range(n_heads)):
+        wq, wk, wv = blk.wq.data[:, cols], blk.wk.data[:, cols], blk.wv.data[:, cols]
+        q, k, v = h @ wq, h @ wk, h @ wv
+        s = q @ k.T / math.sqrt(dh)
         s = np.where(np.triu(np.ones((t, t), bool), 1), -np.inf, s)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
@@ -49,7 +51,7 @@ def ref_forward(model, tokens):
     x = model.embedding.data[np.asarray(tokens)] + sinusoid_table(len(tokens), cfg.d_model)
     taps = [x]
     for blk in model.blocks:
-        x = ref_block(x, blk)
+        x = ref_block(x, blk, cfg.n_heads)
         taps.append(x)
     h = ref_layer_norm(x, model.lnf_gain.data, model.lnf_bias.data)
     return h @ model.head.data, taps
@@ -60,6 +62,6 @@ def ref_doppel(dm, tap_arrays):
     for k, blk in enumerate(dm.blocks):
         fused = (np.concatenate([tap_arrays[k], s], axis=-1) @ dm.fusion_w[k].data
                  + dm.fusion_b[k].data)
-        s = ref_block(fused, blk)
+        s = ref_block(fused, blk, dm.config.n_heads_shadow)
     h = ref_layer_norm(s, dm.lnf_gain.data, dm.lnf_bias.data)
     return ref_sigmoid(h @ dm.head_w.data + dm.head_b.data)

@@ -2,6 +2,10 @@ import json
 import struct
 import time
 
+import numpy as np
+import pytest
+
+from bicameral.checkpoint import load_checkpoint, save_checkpoint
 from bicameral.cli import main
 
 TOY_LM = {"d_model": 64, "n_layers": 4, "n_heads": 4, "d_ff": 256, "max_seq_len": 256}
@@ -160,6 +164,33 @@ class TestExitCodes:
         (tmp_path / "model.ckpt").write_bytes(bytes(raw))
         assert run(["--config", "run.json", "train-doppel"],
                    monkeypatch, tmp_path) == 3
+
+    @pytest.mark.parametrize("case, message", [("missing-record", "missing"),
+                                               ("unknown-lm-key", "n_experts"),
+                                               ("wrong-shape", "shape"),
+                                               ("short-alphabet", "alphabet")])
+    def test_malformed_checkpoint_is_a_refusal(self, tmp_path, monkeypatch, capsys,
+                                               case, message):
+        write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,
+                                          d_ff=32), epochs=1)
+        assert run(["--config", "run.json", "pretrain"], monkeypatch, tmp_path) == 0
+        ckpt = load_checkpoint(tmp_path / "model.ckpt")
+        config, params = ckpt.config, dict(ckpt.params)
+        if case == "missing-record":
+            del params["lm.head"]
+        elif case == "unknown-lm-key":
+            config["lm"]["n_experts"] = 2
+        elif case == "wrong-shape":
+            params["lm.head"] = np.zeros((16, 7))
+        else:
+            config["alphabet"] = config["alphabet"][:2]
+        save_checkpoint(tmp_path / "model.ckpt", config, list(params.items()))
+        capsys.readouterr()
+        assert run(["--config", "run.json", "generate", "--prompt", "a"],
+                   monkeypatch, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and err.count("\n") == 1
+        assert message in err
 
     def test_prompt_with_unknown_character(self, tmp_path, monkeypatch):
         write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,

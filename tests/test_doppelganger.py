@@ -116,9 +116,9 @@ class TestHandComputation:
         dm.fusion_w[0].data = np.linspace(0.3, -0.3, 12).reshape(6, 2)
         dm.fusion_b[0].data = np.array([0.1, -0.1])
         blk = dm.blocks[0]
-        blk.wq[0].data = np.linspace(-0.2, 0.2, 4).reshape(2, 2)
-        blk.wk[0].data = np.linspace(0.25, -0.15, 4).reshape(2, 2)
-        blk.wv[0].data = np.linspace(-0.1, 0.3, 4).reshape(2, 2)
+        blk.wq.data = np.linspace(-0.2, 0.2, 4).reshape(2, 2)
+        blk.wk.data = np.linspace(0.25, -0.15, 4).reshape(2, 2)
+        blk.wv.data = np.linspace(-0.1, 0.3, 4).reshape(2, 2)
         blk.wo.data = np.linspace(0.2, -0.2, 4).reshape(2, 2)
         blk.w1.data = np.linspace(-0.3, 0.3, 8).reshape(2, 4)
         blk.b1.data = np.full(4, 0.02)

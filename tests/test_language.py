@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from reference import ref_forward
+from reference import ref_block, ref_forward
 
 from bicameral.checkpoint import parameter_checksum
 from bicameral.language import (CharTokenizer, FrozenModelError, LMConfig,
-                                SequenceError, forward, freeze,
+                                SequenceError, attention_module, causal_mask,
+                                forward, freeze, init_attention_module,
                                 init_language_model, named_parameters,
                                 positional_encode, pretrain, sinusoid_table)
 from bicameral.optim import OptimConfig
-from bicameral.tensor import Tensor
+from bicameral.tensor import Tensor, build_graph
 
 
 def tiny_config(**kw):
@@ -99,9 +100,9 @@ class TestForward:
         vals = np.arange(1, 1 + 3 * 4).reshape(3, 4) / 10.0
         model.embedding.data = vals
         blk = model.blocks[0]
-        blk.wq[0].data = np.linspace(-0.3, 0.3, 16).reshape(4, 4)
-        blk.wk[0].data = np.linspace(0.2, -0.4, 16).reshape(4, 4)
-        blk.wv[0].data = np.linspace(-0.1, 0.5, 16).reshape(4, 4)
+        blk.wq.data = np.linspace(-0.3, 0.3, 16).reshape(4, 4)
+        blk.wk.data = np.linspace(0.2, -0.4, 16).reshape(4, 4)
+        blk.wv.data = np.linspace(-0.1, 0.5, 16).reshape(4, 4)
         blk.wo.data = np.linspace(0.4, -0.2, 16).reshape(4, 4)
         blk.w1.data = np.linspace(-0.25, 0.25, 32).reshape(4, 8)
         blk.b1.data = np.full(8, 0.05)
@@ -138,6 +139,35 @@ class TestForward:
         forward(model, [1])
         forward(model, [1, 2])
         assert model.forward_calls == 2
+
+
+def random_module(rng, d=8, d_ff=16):
+    blk = init_attention_module(d, d_ff, rng)
+    for _, p in blk.named("m"):  # larger than init scale, so heads differ
+        p.data = rng.normal(0.0, 0.5, size=p.shape)
+    return blk
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_matches_per_head_reference(self, n_heads, lead):
+        rng = np.random.default_rng(n_heads)
+        blk = random_module(rng)
+        x = rng.normal(size=lead + (5, 8))
+        got = attention_module(blk, Tensor(x), causal_mask(5), n_heads).data
+        for ix in np.ndindex(*lead):
+            np.testing.assert_allclose(got[ix], ref_block(x[ix], blk, n_heads),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_graph_size_does_not_depend_on_head_count(self, n_heads):
+        blk = random_module(np.random.default_rng(0))
+        assert len(blk.named("m")) == 12
+        assert all(isinstance(p, Tensor) for _, p in blk.named("m"))
+        x = Tensor(np.ones((5, 8)), requires_grad=True)
+        out = attention_module(blk, x, causal_mask(5), n_heads)
+        assert sum(1 for node in build_graph(out) if node._op) == 27
 
 
 class TestPretrain:

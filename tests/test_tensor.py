@@ -59,7 +59,9 @@ class TestMatmul:
             np.testing.assert_allclose(paired[g], a[g] @ b[g], rtol=1e-12)
 
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3, 4)), ((2, 3, 4), (3, 4, 5)),
-                                        ((2, 3, 4), (5, 2))])
+                                        ((2, 3, 4), (5, 2)),
+                                        ((2, 2, 3, 4), (2, 3, 4, 5)),
+                                        ((2, 2, 3, 4), (2, 4, 5))])
     def test_group_shape_errors(self, shapes):
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.zeros(shapes[0])), Tensor(np.zeros(shapes[1])))
@@ -226,7 +228,7 @@ class TestBackward:
         y = T.mul(x, x)
         z = T.add(y, y)      # y is shared by two consumers
         loss = T.mean(T.add(z, y))
-        n_nodes = len(build_graph(loss).nodes)
+        n_nodes = len(build_graph(loss))
 
         visits = []
         T._visit_hook = visits.append
