@@ -30,7 +30,7 @@ from .language import (CharTokenizer, FrozenModelError, LMConfig, SequenceError,
                        freeze, init_language_model, named_parameters as lm_named,
                        pretrain)
 from .language import load_parameters as lm_load
-from .optim import OptimConfig
+from .optim import NumericError, OptimConfig
 from .reward_theory import (SplitLanguageFunction, random_instance,
                             verify_supremacy)
 
@@ -82,18 +82,11 @@ def _path(config: dict, key: str, must_exist: bool = False) -> Path:
     return p
 
 
-def _lm_config(config: dict, vocab_size: int) -> LMConfig:
+def _model_config(config: dict, section: str, cls, **fixed):
     try:
-        return LMConfig(vocab_size=vocab_size, **config.get("lm", {}))
+        return cls(**fixed, **config.get(section, {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lm config: {exc}") from exc
-
-
-def _doppel_config(config: dict) -> DoppelConfig:
-    try:
-        return DoppelConfig(**config.get("doppel", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad doppel config: {exc}") from exc
+        raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
 def _optim_config(config: dict, section: str, seed_offset: int,
@@ -112,6 +105,14 @@ def _write_sidecar(artifact: Path, merged_config: dict) -> None:
     sidecar = artifact.parent / (artifact.name + ".config.json")
     sidecar.write_text(json.dumps(merged_config, sort_keys=True, indent=2) + "\n",
                        encoding="utf-8")
+
+
+def _write_log(merged: dict, log: list[dict]) -> None:
+    if "log" in merged.get("paths", {}):
+        log_path = _path(merged, "log")
+        log_path.write_text("".join(json.dumps(e, allow_nan=False) + "\n" for e in log),
+                            encoding="utf-8")
+        _write_sidecar(log_path, merged)
 
 
 def _save_models(path: Path, merged: dict, tokenizer: CharTokenizer,
@@ -185,7 +186,7 @@ def cmd_pretrain(merged: dict, do_freeze: bool = True) -> int:
     corpus_text = _path(merged, "corpus", must_exist=True).read_text(encoding="utf-8")
     out_path = _path(merged, "checkpoint_out")
 
-    lm_cfg = _lm_config(merged, tokenizer.vocab_size)
+    lm_cfg = _model_config(merged, "lm", LMConfig, vocab_size=tokenizer.vocab_size)
     opt = _optim_config(merged, "pretrain", seed_offset=2, drop=("window",))
     window = int(merged.get("pretrain", {}).get("window", min(64, lm_cfg.max_seq_len - 1)))
 
@@ -196,10 +197,7 @@ def cmd_pretrain(merged: dict, do_freeze: bool = True) -> int:
     if do_freeze:
         freeze(lm)
     _save_models(out_path, merged, tokenizer, lm)
-    if "log" in merged.get("paths", {}):
-        log_path = _path(merged, "log")
-        log_path.write_text("".join(json.dumps(e) + "\n" for e in log), encoding="utf-8")
-        _write_sidecar(log_path, merged)
+    _write_log(merged, log)
     last = log[-1]["train_loss"] if log else float("nan")
     print(f"pretrained {lm_cfg.n_layers} modules on {len(sequences)} windows, "
           f"final loss {last:.4f}, frozen={do_freeze}, wrote {out_path}")
@@ -250,17 +248,15 @@ def cmd_train_doppel(merged: dict) -> int:
     val = training.load_dataset(_path(merged, "dataset_val", must_exist=True))
     if doppel is None:
         rng = np.random.default_rng(int(merged["seed"]) + 1)
-        doppel = init_doppelganger(lm.config, _doppel_config(merged), rng)
+        doppel = init_doppelganger(lm.config, _model_config(merged, "doppel", DoppelConfig),
+                                   rng)
     bm = BicameralModel(language=lm, doppel=doppel)
     opt = _optim_config(merged, "train", seed_offset=3)
     log = training.train_doppelganger(bm, train, val, opt)
 
     out_path = _path(merged, "checkpoint_out")
     _save_models(out_path, merged, tokenizer, lm, doppel)
-    if "log" in merged.get("paths", {}):
-        log_path = _path(merged, "log")
-        log_path.write_text("".join(json.dumps(e) + "\n" for e in log), encoding="utf-8")
-        _write_sidecar(log_path, merged)
+    _write_log(merged, log)
     final = log[-1]
     print(f"trained shadow tower for {final['epoch']} epochs, val loss "
           f"{final['val_loss']:.4f}, val acc {final['val_acc']}, wrote {out_path}")
@@ -353,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericError reports these, in one line
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -376,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RefusalError, FrozenModelError, CheckpointError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (SequenceError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

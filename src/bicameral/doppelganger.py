@@ -14,14 +14,14 @@ reads the *previous* module's output, and the chain stops at module N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_named
 from .language import (AttentionModuleParams, LanguageModel, LayerTaps,
-                       attention_module, causal_mask, forward,
+                       _init_matrix, attention_module, causal_mask, forward,
                        init_attention_module, LMConfig)
 from .tensor import Tensor
 
@@ -42,8 +42,7 @@ class DoppelConfig:
                              f"n_heads_shadow={self.n_heads_shadow}")
 
     def to_dict(self) -> dict:
-        return {"d_shadow": self.d_shadow, "n_objectives": self.n_objectives,
-                "n_heads_shadow": self.n_heads_shadow, "d_ff_shadow": self.d_ff_shadow}
+        return asdict(self)
 
 
 @dataclass
@@ -71,18 +70,14 @@ def init_doppelganger(lm_config: LMConfig, config: DoppelConfig,
     d, ds = lm_config.d_model, config.d_shadow
     fusion_w = []
     for _ in range(lm_config.n_layers):
-        w = np.zeros((d + ds, ds))
-        if rng is not None:
-            w[:d] = rng.normal(0.0, 0.02, size=(d, ds))
-        w[d:] = np.eye(ds)
-        fusion_w.append(Tensor(w, requires_grad=True))
-    proj = rng.normal(0.0, 0.02, size=(d, ds)) if rng is not None else np.zeros((d, ds))
-    head = (rng.normal(0.0, 0.02, size=(ds, config.n_objectives))
-            if rng is not None else np.zeros((ds, config.n_objectives)))
+        probe_rows = _init_matrix(rng, d, ds).data
+        fusion_w.append(Tensor(np.concatenate([probe_rows, np.eye(ds)]), requires_grad=True))
+    proj = _init_matrix(rng, d, ds)
+    head = _init_matrix(rng, ds, config.n_objectives)
     return DoppelgangerModel(
         config=config,
         lm_config=lm_config,
-        input_proj=Tensor(proj, requires_grad=True),
+        input_proj=proj,
         blocks=[init_attention_module(ds, config.d_ff_shadow, rng)
                 for _ in range(lm_config.n_layers)],
         fusion_w=fusion_w,
@@ -90,7 +85,7 @@ def init_doppelganger(lm_config: LMConfig, config: DoppelConfig,
                   for _ in range(lm_config.n_layers)],
         lnf_gain=Tensor(np.ones(ds), requires_grad=True),
         lnf_bias=Tensor(np.zeros(ds), requires_grad=True),
-        head_w=Tensor(head, requires_grad=True),
+        head_w=head,
         head_b=Tensor(np.zeros(config.n_objectives), requires_grad=True),
     )
 

@@ -204,6 +204,12 @@ def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
         "transpose (axes -3, -2)",
         lambda: T.mean(T.mul(T.transpose(h1, -3, -2), wsw)), [h1]))
 
+    # a padded group of next-token logits; the second row ends in padding
+    lg, tg = t(2, 3, 5), rng.integers(0, 5, size=(2, 3))
+    cw = np.array([[0.5, 0.25, 0.25], [1.0, 0.125, 0.0]])
+    results.append(check_gradients(
+        "cross_entropy (3-d, pads)", lambda: T.cross_entropy(lg, tg, weights=cw), [lg]))
+
     return results
 
 
@@ -216,8 +222,9 @@ def run_model_check(seed: int = 0, sample: int = 3,
     cross-entropy plus the per-prefix score loss.
     """
     from . import tensor as T
-    from .doppelganger import BicameralModel, DoppelConfig, doppel_forward, init_doppelganger
-    from .language import LMConfig, forward, init_language_model
+    from .doppelganger import (BicameralModel, DoppelConfig, doppel_forward,
+                               init_doppelganger, parameters as doppel_parameters)
+    from .language import LMConfig, forward, init_language_model, parameters as lm_parameters
 
     rng = np.random.default_rng(seed)
     lm_cfg = LMConfig(vocab_size=7, d_model=16, n_layers=2, n_heads=2,
@@ -237,8 +244,6 @@ def run_model_check(seed: int = 0, sample: int = 3,
         scores = doppel_forward(bm.doppel, taps)
         return T.add(lm_loss, T.binary_cross_entropy(scores, labels))
 
-    from .doppelganger import named_parameters as doppel_named
-    from .language import named_parameters as lm_named
-    params = [p for _, p in lm_named(lm)] + [p for _, p in doppel_named(dm)]
+    params = lm_parameters(lm) + doppel_parameters(dm)
     return check_gradients("bicameral loss", loss, params, sample=sample,
                            rtol=rtol, rng=rng)

@@ -10,14 +10,15 @@ tracking gradients, so its taps enter downstream graphs as plain values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_named, parameter_checksum
-from .optim import OptimConfig
+from .optim import OptimConfig, _pad, epochs
 from .tensor import Tensor
 
 
@@ -47,9 +48,7 @@ class LMConfig:
                              f"n_heads={self.n_heads}")
 
     def to_dict(self) -> dict:
-        return {"vocab_size": self.vocab_size, "d_model": self.d_model,
-                "n_layers": self.n_layers, "n_heads": self.n_heads,
-                "d_ff": self.d_ff, "max_seq_len": self.max_seq_len}
+        return asdict(self)
 
 
 @dataclass
@@ -293,42 +292,38 @@ def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
     return logits, LayerTaps(taps)
 
 
+def _group_loss(model: LanguageModel, sequences: list[np.ndarray], group,
+                batch_len: int):
+    """Next-token loss of the padded group ``group`` of ``sequences`` from a
+    batch of ``batch_len``, its sequences' summed mean losses and their
+    count. Sequence i's len_i predicted positions weigh 1 / (batch_len *
+    len_i) and padding 0: the mean per sequence, then per batch."""
+    rows = [sequences[i] for i in group]
+    real = _pad([np.ones(len(r) - 1, dtype=bool) for r in rows])
+    weights = real / (batch_len * real.sum(axis=1, keepdims=True))
+    logits, _ = forward(model, _pad([r[:-1] for r in rows]))
+    loss = T.cross_entropy(logits, _pad([r[1:] for r in rows]), weights=weights)
+    return loss, loss.item() * batch_len, len(rows)
+
+
 def pretrain(model: LanguageModel, corpus: list, opt: OptimConfig) -> list[dict]:
     """Next-token training on a list of token sequences.
 
     Gradients are averaged over each batch of sequences before the Adam
-    step. Returns one record per epoch: {"epoch", "train_loss"}.
+    step. Returns one record per epoch: {"epoch", "train_loss"}, the mean
+    over sequences of each sequence's mean next-token loss.
     """
     if model.frozen:
         raise FrozenModelError("cannot pretrain a frozen language model")
     sequences = [np.asarray(s) for s in corpus]
     if not sequences:
         raise ValueError("pretraining corpus is empty")
-    for s in sequences:
-        if s.size < 2:
-            raise ValueError("next-token training needs sequences of length >= 2")
+    if any(s.size < 2 for s in sequences):
+        raise ValueError("next-token training needs sequences of length >= 2")
 
-    params = parameters(model)
-    state = T.AdamState.for_params(params)
-    rng = np.random.default_rng(opt.seed)
-    log: list[dict] = []
-    for epoch in range(1, opt.epochs + 1):
-        order = rng.permutation(len(sequences))
-        losses = []
-        for start in range(0, len(order), opt.batch_size):
-            batch = order[start:start + opt.batch_size]
-            T.zero_grads(params)
-            for i in batch:
-                seq = sequences[i]
-                logits, _ = forward(model, seq[:-1])
-                loss = T.cross_entropy(logits, seq[1:])
-                losses.append(loss.item())
-                T.scale(loss, 1.0 / len(batch)).backward()
-            T.adam_step(params, [p.grad for p in params], state,
-                        lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
-        log.append({"epoch": epoch, "train_loss": float(np.mean(losses))})
-    T.zero_grads(params)
-    return log
+    group_loss = partial(_group_loss, model, sequences)
+    return [{"epoch": epoch, "train_loss": loss}
+            for epoch, loss in epochs(parameters(model), len(sequences), group_loss, opt)]
 
 
 # ---------------------------------------------------------------------------

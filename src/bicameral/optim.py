@@ -1,8 +1,21 @@
-"""Shared optimizer/loop settings for both training phases."""
+"""Optimizer settings and the one training loop of both phases: pretraining
+the language tower and training the shadow tower."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from . import tensor as T
+
+# Sequences per padded group: one autodiff graph covers this many. Larger
+# groups save no more time at desk scale but hold more graph memory.
+GROUP_SIZE = 4
+
+
+class NumericError(ArithmeticError):
+    """Training produced a non-finite loss or parameter."""
 
 
 @dataclass(frozen=True)
@@ -19,3 +32,45 @@ class OptimConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("invalid optimizer configuration")
+
+
+def _groups(indices) -> list:
+    return [indices[s:s + GROUP_SIZE] for s in range(0, len(indices), GROUP_SIZE)]
+
+
+def _pad(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack [len_i, ...] arrays into [G, max len_i, ...], zero-padded on the right."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:],
+                   dtype=np.result_type(*rows))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def epochs(params: list[T.Tensor], n_items: int, group_loss, opt: OptimConfig):
+    """Train ``params`` on items 0..n_items-1, yielding ``(epoch, train_loss)``
+    after each epoch. Each batch of a seeded shuffle is split into groups
+    whose gradients accumulate before one Adam step. ``group_loss(group,
+    batch_len)`` returns the group's loss tensor, a sum and a count;
+    ``train_loss`` is the epoch's sums over its counts. A non-finite loss
+    or parameter raises ``NumericError``."""
+    state = T.AdamState.for_params(params)
+    rng = np.random.default_rng(opt.seed)
+    T.zero_grads(params)
+    for epoch in range(1, opt.epochs + 1):
+        order = rng.permutation(n_items)
+        total, count = 0.0, 0
+        for start in range(0, n_items, opt.batch_size):
+            batch = order[start:start + opt.batch_size]
+            for group in _groups(batch):
+                loss, group_total, group_count = group_loss(group, len(batch))
+                if not np.isfinite(loss.item()):
+                    raise NumericError(f"training loss is {loss.item()} in epoch {epoch}")
+                loss.backward()
+                total, count = total + group_total, count + group_count
+            T.adam_step(params, [p.grad for p in params], state,
+                        lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+            T.zero_grads(params)
+            if not all(np.isfinite(p.data).all() for p in params):
+                raise NumericError(f"a step left a non-finite parameter in epoch {epoch}")
+        yield epoch, total / count

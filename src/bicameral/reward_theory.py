@@ -162,10 +162,12 @@ class CompositeReward:
     def n(self) -> int:
         return len(self.rewards)
 
-    def compose_batch(self, means: np.ndarray) -> np.ndarray:
-        if hasattr(self.compose, "batch"):
-            return self.compose.batch(means)
-        return np.asarray([self.compose(row) for row in means])
+
+def _compose_rows(compose, rows: np.ndarray) -> np.ndarray:
+    """The composite map applied to each row of reward vectors."""
+    if hasattr(compose, "batch"):
+        return compose.batch(rows)
+    return np.asarray([compose(row) for row in rows])
 
 
 def check_monotone(compose, value_sets: Sequence[Sequence[float]]) -> bool:
@@ -177,10 +179,7 @@ def check_monotone(compose, value_sets: Sequence[Sequence[float]]) -> bool:
     """
     grids = [np.unique(np.asarray(vs, dtype=np.float64)) for vs in value_sets]
     points = np.array(list(itertools.product(*grids)))
-    if hasattr(compose, "batch"):
-        vals = compose.batch(points)
-    else:
-        vals = np.asarray([compose(p) for p in points])
+    vals = _compose_rows(compose, points)
     le = np.ones((len(points), len(points)), dtype=bool)
     for axis in range(points.shape[1]):
         le &= points[:, None, axis] <= points[None, :, axis]
@@ -297,7 +296,7 @@ def optimize_shared(f: FiniteLanguageFunction, cr: CompositeReward,
         raise InstanceError(f"composite reward has {cr.n} components, "
                             f"instance has {f.n} objectives")
     _guard(len(f.thetas), len(f.inputs))
-    composite = cr.compose_batch(_shared_means(f, cr, input_subset))
+    composite = _compose_rows(cr.compose, _shared_means(f, cr, input_subset))
     best = int(np.argmax(composite))  # argmax keeps the first of equal values
     return best, float(composite[best])
 

@@ -89,13 +89,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else _scalar_err(self)
 
-    def detach(self) -> "Tensor":
-        """A copy that shares no graph links and tracks no gradient."""
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar through its graph.
 
@@ -130,15 +123,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def build_graph(root: Tensor) -> list[Tensor]:
@@ -453,30 +437,47 @@ def mean(a: Tensor) -> Tensor:
 # losses
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-softmax of the target id at each position."""
+def _reduce(terms: np.ndarray, weights, op: str):
+    """A loss from per-entry ``terms`` [..., k] and the matching scaling of entry
+    gradients: the mean, or the sum weighted by position (``weights`` [...])."""
+    if weights is None:
+        return np.asarray(np.mean(terms)), lambda x: x / terms.size
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != terms.shape[:-1]:
+        raise ShapeError(f"{op} weights shape {w.shape} does not match "
+                         f"positions {terms.shape[:-1]}")
+    w = w[..., None]
+    return np.asarray(np.sum(w * terms)), lambda x: x * w
+
+
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+    """Mean negative log-softmax of the target id at each position, for
+    [..., T, V] logits and [..., T] targets; with ``weights``, the weighted
+    sum over positions instead."""
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects [T,V] logits, got {logits.shape}")
-    t, v = logits.shape
-    if targets.ndim != 1 or targets.shape[0] != t:
-        raise ShapeError(f"cross_entropy targets length {targets.shape} "
-                         f"does not match {t} positions")
+    if logits.ndim < 2 or targets.shape != logits.shape[:-1]:
+        raise ShapeError(f"cross_entropy targets shape {targets.shape} does not "
+                         f"match [..., T, V] logits {logits.shape}")
+    v = logits.shape[-1]
     if not np.issubdtype(targets.dtype, np.integer):
         raise ShapeError("cross_entropy targets must be integer ids")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         bad = int(targets[(targets < 0) | (targets >= v)][0])
         raise IndexError(f"target id {bad} out of range for vocabulary of {v}")
-    m = np.max(logits.data, axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
+    x = logits.data.reshape(-1, v)
+    ids = targets.reshape(-1)
+    rows = np.arange(ids.size)
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
     lse = m[:, 0] + np.log(np.sum(e, axis=-1))
-    out = np.asarray(np.mean(lse - logits.data[np.arange(t), targets]))
+    nll = (lse - x[rows, ids]).reshape(targets.shape + (1,))
+    out, reduce = _reduce(nll, weights, "cross_entropy")
 
     def backward(g):
         p = e / np.sum(e, axis=-1, keepdims=True)
-        p[np.arange(t), targets] -= 1.0
-        _accumulate(logits, float(g) * p / t)
+        p[rows, ids] -= 1.0
+        _accumulate(logits, reduce(float(g) * p.reshape(logits.shape)))
 
     return _make(out, (logits,), backward, "cross_entropy")
 
@@ -495,19 +496,8 @@ def binary_cross_entropy(p: Tensor, y: Tensor, eps: float = BCE_EPS,
         raise ShapeError(f"binary_cross_entropy shape mismatch: {p.shape} vs {y.shape}")
     pc = np.clip(p.data, eps, 1.0 - eps)
     terms = -(y.data * np.log(pc) + (1.0 - y.data) * np.log1p(-pc))
-    if weights is None:
-        out = np.asarray(np.mean(terms))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != p.shape[:-1]:
-            raise ShapeError(f"binary_cross_entropy weights shape {w.shape} does not "
-                             f"match positions {p.shape[:-1]}")
-        w = w[..., None]
-        out = np.asarray(np.sum(w * terms))
+    out, reduce = _reduce(terms, weights, "binary_cross_entropy")
     inside = (p.data > eps) & (p.data < 1.0 - eps)
-
-    def reduce(x):
-        return x / pc.size if weights is None else x * w
 
     def backward(g):
         if p.requires_grad:

@@ -18,12 +18,9 @@ from . import tensor as T
 from .checkpoint import parameter_checksum
 from .doppelganger import BicameralModel, doppel_forward, parameters as doppel_parameters
 from .language import FrozenModelError, LayerTaps, forward, named_parameters as lm_named
-from .optim import OptimConfig
+from .optim import (GROUP_SIZE, NumericError, OptimConfig,  # noqa: F401
+                    _groups, _pad, epochs)
 from .tensor import Tensor
-
-# Sequences per padded group: one autodiff graph covers this many. Larger
-# groups save no more time at desk scale but hold more graph memory.
-GROUP_SIZE = 4
 
 
 @dataclass
@@ -179,32 +176,6 @@ def load_dataset(path: str | Path) -> list[SupervisedSequence]:
     return data
 
 
-@dataclass
-class TrainLogEntry:
-    epoch: int
-    train_loss: float
-    val_loss: float
-    val_acc: list[float]
-
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "val_loss": self.val_loss, "val_acc": self.val_acc}
-
-
-def _groups(indices) -> list:
-    return [indices[s:s + GROUP_SIZE] for s in range(0, len(indices), GROUP_SIZE)]
-
-
-def _pad(rows: list[np.ndarray]) -> np.ndarray:
-    """Stack [len_i, ...] arrays into [len(rows), max len_i, ...], right-padded
-    with zeros (False for masks)."""
-    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:],
-                   dtype=np.result_type(*rows))
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
-    return out
-
-
 def _cached_taps(bm: BicameralModel, data: list[SupervisedSequence]):
     # the language tower is frozen, so taps per sequence are constants and
     # one padded pass per group serves every epoch; padding sits after each
@@ -293,36 +264,27 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
 
     checksum_before = parameter_checksum(lm_named(bm.language))
     params = doppel_parameters(bm.doppel)
-    state = T.AdamState.for_params(params)
-    rng = np.random.default_rng(opt.seed)
 
     train_taps = _cached_taps(bm, train)
     val_taps = _cached_taps(bm, val)
 
     base_train = _mean_bce(*_real_scores(bm.doppel, train_taps, train))
     base_val, base_acc = _loss_and_metrics(*_real_scores(bm.doppel, val_taps, val))
-    log = [TrainLogEntry(0, base_train, base_val, base_acc)]
+    log = [{"epoch": 0, "train_loss": base_train, "val_loss": base_val, "val_acc": base_acc}]
+
+    def group_loss(group, batch_len):
+        loss, scores, labels = _group_loss(bm.doppel, train_taps, train, group, batch_len)
+        return loss, len(scores) * _mean_bce(scores, labels), len(scores)
 
     best_val = base_val
     best_params = [p.data.copy() for p in params]
     since_best = 0
-    for epoch in range(1, opt.epochs + 1):
-        order = rng.permutation(len(train))
-        epoch_loss = 0.0
-        epoch_positions = 0
-        for start in range(0, len(order), opt.batch_size):
-            batch = order[start:start + opt.batch_size]
-            T.zero_grads(params)
-            for group in _groups(batch):
-                loss, scores, labels = _group_loss(bm.doppel, train_taps, train,
-                                                   group, len(batch))
-                loss.backward()
-                epoch_loss += len(scores) * _mean_bce(scores, labels)
-                epoch_positions += len(scores)
-            T.adam_step(params, [p.grad for p in params], state,
-                        lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+    for epoch, train_loss in epochs(params, len(train), group_loss, opt):
         val_loss, val_acc = _loss_and_metrics(*_real_scores(bm.doppel, val_taps, val))
-        log.append(TrainLogEntry(epoch, epoch_loss / epoch_positions, val_loss, val_acc))
+        if not np.isfinite(val_loss):
+            raise NumericError(f"validation loss is {val_loss} in epoch {epoch}")
+        log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
+                    "val_acc": val_acc})
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best_params = [p.data.copy() for p in params]
@@ -333,11 +295,10 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
                 break
     for p, best in zip(params, best_params):
         p.data = best
-    T.zero_grads(params)
 
     if parameter_checksum(lm_named(bm.language)) != checksum_before:
         raise FrozenModelError("language parameters changed during shadow training")
-    return [entry.to_dict() for entry in log]
+    return log
 
 
 def evaluate(bm: BicameralModel, data: list[SupervisedSequence],

@@ -192,6 +192,39 @@ class TestExitCodes:
         assert err.startswith("refused:") and err.count("\n") == 1
         assert message in err
 
+    def test_pretrain_non_finite_is_a_numeric_failure(self, tmp_path, monkeypatch,
+                                                      capsys, recwarn):
+        config = write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1,
+                                                   n_heads=2, d_ff=32), epochs=2)
+        config["pretrain"]["lr"] = 1e200
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["--config", "run.json", "pretrain"], monkeypatch, tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "Traceback" not in err and not recwarn.list
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "log.jsonl").exists()
+
+    def test_train_doppel_non_finite_is_a_numeric_failure(self, tmp_path, monkeypatch,
+                                                          capsys, recwarn):
+        config = write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1,
+                                                   n_heads=2, d_ff=32),
+                                 n_sequences=16, epochs=1)
+        assert run(["--config", "run.json", "pretrain"], monkeypatch, tmp_path) == 0
+        assert run(["--config", "run.json", "make-data"], monkeypatch, tmp_path) == 0
+        config["train"]["lr"] = 1e200
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        checkpoint = (tmp_path / "model.ckpt").read_bytes()
+        log = (tmp_path / "log.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run(["--config", "run.json", "train-doppel"],
+                   monkeypatch, tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "Traceback" not in err and not recwarn.list
+        assert (tmp_path / "model.ckpt").read_bytes() == checkpoint
+        assert (tmp_path / "log.jsonl").read_bytes() == log
+
     def test_prompt_with_unknown_character(self, tmp_path, monkeypatch):
         write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,
                                           d_ff=32), n_sequences=16, epochs=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import ref_block, ref_forward
 
+from bicameral import language
 from bicameral.checkpoint import parameter_checksum
 from bicameral.language import (CharTokenizer, FrozenModelError, LMConfig,
                                 SequenceError, attention_module, causal_mask,
@@ -11,7 +12,7 @@ from bicameral.language import (CharTokenizer, FrozenModelError, LMConfig,
                                 init_language_model, named_parameters,
                                 positional_encode, pretrain, sinusoid_table)
 from bicameral.optim import OptimConfig
-from bicameral.tensor import Tensor, build_graph
+from bicameral.tensor import Tensor, build_graph, cross_entropy, scale, zero_grads
 
 
 def tiny_config(**kw):
@@ -208,6 +209,42 @@ class TestPretrain:
         freeze(model)
         with pytest.raises(FrozenModelError):
             pretrain(model, [[0, 1, 2]], OptimConfig(epochs=1))
+
+    def test_group_loss_matches_per_sequence_loop(self):
+        # a padded group of unequal lengths must reproduce the per-sequence
+        # computation, loss and every gradient
+        model = init_language_model(tiny_config(), np.random.default_rng(16))
+        rng = np.random.default_rng(17)
+        sequences = [rng.integers(0, 5, size=n) for n in (6, 12, 2, 9)]
+        params = [p for _, p in named_parameters(model)]
+        batch_len = len(sequences) + 3  # the group is part of a larger batch
+
+        zero_grads(params)
+        ref_loss = ref_sum = 0.0
+        for seq in sequences:
+            logits, _ = forward(model, seq[:-1])
+            loss = cross_entropy(logits, seq[1:])
+            ref_sum += loss.item()
+            loss = scale(loss, 1.0 / batch_len)
+            ref_loss += loss.item()
+            loss.backward()
+        ref_grads = [p.grad.copy() for p in params]
+
+        zero_grads(params)
+        loss, total, count = language._group_loss(model, sequences,
+                                                   list(range(len(sequences))), batch_len)
+        loss.backward()
+        assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        assert total == pytest.approx(ref_sum, rel=1e-12) and count == len(sequences)
+        for p, ref in zip(params, ref_grads):
+            np.testing.assert_allclose(p.grad, ref, rtol=1e-12)
+
+    def test_one_forward_per_group(self):
+        model = init_language_model(tiny_config(), np.random.default_rng(0))
+        sequences = [[0, 1, 2, 3]] * 10
+        pretrain(model, sequences, OptimConfig(epochs=2, batch_size=8, seed=0))
+        # batches of 8 and 2 split into groups of 4, 4 and 2: 3 per epoch
+        assert model.forward_calls == 6
 
 
 class TestFreeze:

@@ -177,6 +177,50 @@ class TestCrossEntropy:
         with pytest.raises(IndexError, match="out of range"):
             T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
 
+    def test_uniform_weights_equal_unweighted_mean(self):
+        rng = np.random.default_rng(21)
+        logits = rng.uniform(-2, 2, size=(5, 7))
+        targets = rng.integers(0, 7, size=5)
+        plain = T.cross_entropy(Tensor(logits), targets).item()
+        weighted = T.cross_entropy(Tensor(logits), targets, weights=np.full(5, 0.2)).item()
+        assert weighted == pytest.approx(plain, rel=1e-12)
+
+    def test_zero_weights_drop_positions(self):
+        rng = np.random.default_rng(22)
+        logits = Tensor(rng.uniform(-2, 2, size=(4, 6)), requires_grad=True)
+        targets = rng.integers(0, 6, size=4)
+        out = T.cross_entropy(logits, targets, weights=[0.5, 0.0, 0.5, 0.0])
+        kept = T.cross_entropy(Tensor(logits.data[[0, 2]]), targets[[0, 2]]).item()
+        assert out.item() == pytest.approx(kept, rel=1e-12)
+        out.backward()
+        assert not logits.grad[[1, 3]].any() and logits.grad[[0, 2]].any()
+
+    def test_grouped_logits_match_each_row(self):
+        rng = np.random.default_rng(23)
+        logits = rng.uniform(-2, 2, size=(3, 4, 5))
+        targets = rng.integers(0, 5, size=(3, 4))
+        group = Tensor(logits, requires_grad=True)
+        loss = T.cross_entropy(group, targets)
+        loss.backward()
+        rows = [Tensor(logits[g], requires_grad=True) for g in range(3)]
+        per_row = []
+        for row, ids in zip(rows, targets):
+            row_loss = T.cross_entropy(row, ids)
+            per_row.append(row_loss.item())
+            T.scale(row_loss, 1.0 / 3).backward()
+        assert loss.item() == pytest.approx(np.mean(per_row), rel=1e-12)
+        for g, row in enumerate(rows):
+            np.testing.assert_allclose(group.grad[g], row.grad, rtol=1e-12)
+
+    @pytest.mark.parametrize("targets, weights", [
+        (np.zeros((2, 3), dtype=int), None),   # targets of the wrong shape
+        (np.zeros(2, dtype=int), None),
+        (np.zeros((2, 4), dtype=int), np.ones(8)),   # weights of the wrong shape
+        (np.zeros((2, 4), dtype=int), np.ones((2, 4, 1)))])
+    def test_bad_shapes_raise(self, targets, weights):
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.zeros((2, 4, 3))), targets, weights=weights)
+
 
 class TestBinaryCrossEntropy:
     def test_coin_flip(self):
