@@ -76,8 +76,9 @@ def load_named(named: list[tuple[str, Tensor]], values: dict[str, np.ndarray],
                prefix: str = "") -> None:
     """Copy ``values[prefix + name]`` into each named parameter, in place.
 
-    A missing record, or one whose shape differs from the parameter's,
-    makes the checkpoint incompatible with the model it is loaded into.
+    A missing record, one whose shape differs from the parameter's, or one
+    holding a NaN or an infinity makes the checkpoint unusable for the
+    model it is loaded into.
     """
     for name, param in named:
         key = prefix + name
@@ -87,6 +88,8 @@ def load_named(named: list[tuple[str, Tensor]], values: dict[str, np.ndarray],
         if arr.shape != param.shape:
             raise CheckpointError(f"parameter {key!r} has shape {arr.shape}, "
                                   f"expected {param.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {key!r} holds non-finite values")
         param.data = arr.astype(np.float64).copy()
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -278,11 +279,16 @@ def cmd_generate(merged: dict, prompt: str, max_new: int, fmt: str) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    for event in generate(bm, prompt_ids, max_new, sampler, tokenizer):
-        if fmt == "jsonl":
-            print(event.to_json())
-        else:
-            print(render_plain(event))
+    try:
+        for event in generate(bm, prompt_ids, max_new, sampler, tokenizer):
+            print(event.to_json() if fmt == "jsonl" else render_plain(event))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the stream early (``generate ... | head -1``):
+        # a clean end. Point stdout at devnull so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

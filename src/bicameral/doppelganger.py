@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_named
 from .language import (AttentionModuleParams, LanguageModel, LayerTaps,
-                       _init_matrix, attention_module, causal_mask, forward,
+                       _init_matrix, attention_module, forward,
                        init_attention_module, LMConfig)
 from .tensor import Tensor
 
@@ -119,8 +119,8 @@ def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
     [G, T, n_objectives] for taps of a group).
 
     scores[t] is the prediction for the prefix ending at position t.
-    Shadow attention is causal with the same mask as the language side,
-    so position t never sees later taps.
+    Shadow attention is causal like the language side, so position t never
+    sees later taps.
     """
     n_modules = len(model.blocks)
     if len(taps) != n_modules + 1:
@@ -130,12 +130,11 @@ def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
         raise ValueError(f"tap width {taps.d_model} does not match language "
                          f"width {model.lm_config.d_model}")
 
-    mask = causal_mask(taps[0].shape[-2])
     shadow = T.matmul(taps[0], model.input_proj)
     for k, block in enumerate(model.blocks):
         fused = T.add(T.matmul(T.concat_last(taps[k], shadow), model.fusion_w[k]),
                       model.fusion_b[k])
-        shadow = attention_module(block, fused, mask, model.config.n_heads_shadow)
+        shadow = attention_module(block, fused, model.config.n_heads_shadow)
     h = T.layer_norm(shadow, model.lnf_gain, model.lnf_bias)
     return T.sigmoid(T.add(T.matmul(h, model.head_w), model.head_b))
 

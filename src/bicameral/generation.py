@@ -17,6 +17,7 @@ import numpy as np
 
 from .doppelganger import BicameralModel, bicameral_forward
 from .language import CharTokenizer, SequenceError
+from .tensor import no_grad
 
 STRATEGIES = ("greedy", "temperature", "top_k")
 
@@ -48,7 +49,8 @@ class GenerationEvent:
 
     def to_json(self) -> str:
         return json.dumps({"pos": self.pos, "token": self.token_text,
-                           "id": self.token_id, "scores": list(self.scores)})
+                           "id": self.token_id, "scores": list(self.scores)},
+                          allow_nan=False)
 
 
 def sample(logits_row: np.ndarray, sampler: SamplerConfig,
@@ -84,7 +86,8 @@ def generate(bm: BicameralModel, prompt, max_new: int,
 
     The prompt events all come from the first forward pass; each
     generated token's event comes from the single pass in which its
-    position first exists. Model parameters are never touched.
+    position first exists. Each pass runs under ``no_grad``, so it builds
+    no graph. Model parameters are never touched.
     """
     prompt = [int(t) for t in np.asarray(prompt).reshape(-1)]
     if not prompt:
@@ -99,16 +102,22 @@ def generate(bm: BicameralModel, prompt, max_new: int,
     def text(token_id: int) -> str:
         return tokenizer.decode([token_id]) if tokenizer is not None else ""
 
+    def bicameral_pass(seq: list[int]):
+        # entered and left within one call, never across a yield, so the
+        # consumer's own ops keep their gradient setting
+        with no_grad():
+            return bicameral_forward(bm, seq)
+
     rng = np.random.default_rng(sampler.seed)
     seq = list(prompt)
-    logits, scores = bicameral_forward(bm, seq)
+    logits, scores = bicameral_pass(seq)
     for pos, token_id in enumerate(seq):
         yield GenerationEvent(pos, token_id, text(token_id),
                               tuple(float(s) for s in scores.data[pos]))
     for _ in range(max_new):
         next_id = sample(logits.data[-1], sampler, rng)
         seq.append(next_id)
-        logits, scores = bicameral_forward(bm, seq)
+        logits, scores = bicameral_pass(seq)
         yield GenerationEvent(len(seq) - 1, next_id, text(next_id),
                               tuple(float(s) for s in scores.data[-1]))
 

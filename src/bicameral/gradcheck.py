@@ -99,7 +99,13 @@ def check_gradients(name: str, fn: Callable[[], Tensor], params: list[Tensor],
 
 
 def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
-    """Finite-difference every differentiable op on random inputs in [-2, 2]."""
+    """Finite-difference every differentiable op on random inputs in [-2, 2].
+
+    An op's output is reduced to a scalar by a fixed random linear probe,
+    ``binary_cross_entropy(Tensor(w), out)``: the loss is linear in its
+    label argument, so it weights each entry of ``out`` by a fixed
+    log((1 - w) / w).
+    """
     from . import tensor as T
 
     rng = np.random.default_rng(seed)
@@ -107,57 +113,35 @@ def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
     def t(*shape, lo=-2.0, hi=2.0, grad=True):
         return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=grad)
 
-    w = Tensor(rng.uniform(-1.0, 1.0, size=(3, 4)))  # fixed probe weights
+    def probed(name, op, params, weights=None):
+        w = Tensor(rng.uniform(0.15, 0.85, size=op().shape))
+        return check_gradients(
+            name, lambda: T.binary_cross_entropy(w, op(), weights=weights), params)
 
     results = []
 
     a, b = t(3, 4), t(3, 4)
-    results.append(check_gradients("add", lambda: T.mean(T.mul(T.add(a, b), w)), [a, b]))
-
+    results.append(probed("add", lambda: T.add(a, b), [a, b]))
     bias = t(4)
-    results.append(check_gradients(
-        "add (row broadcast)", lambda: T.mean(T.mul(T.add(a, bias), w)), [a, bias]))
-
-    results.append(check_gradients("mul", lambda: T.mean(T.mul(T.mul(a, b), w)), [a, b]))
-    results.append(check_gradients("scale", lambda: T.mean(T.scale(a, 1.7)), [a]))
+    results.append(probed("add (row broadcast)", lambda: T.add(a, bias), [a, bias]))
 
     m1, m2 = t(3, 4), t(4, 2)
-    results.append(check_gradients(
-        "matmul", lambda: T.mean(T.matmul(m1, m2)), [m1, m2]))
-
-    wt = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4)))
-    results.append(check_gradients(
-        "transpose", lambda: T.mean(T.mul(T.transpose(m2), wt)), [m2]))
-    wr = Tensor(rng.uniform(-1.0, 1.0, size=(4, 3)))
-    results.append(check_gradients(
-        "reshape", lambda: T.mean(T.mul(T.reshape(a, (4, 3)), wr)), [a]))
+    results.append(probed("matmul", lambda: T.matmul(m1, m2), [m1, m2]))
 
     c1, c2 = t(3, 2), t(3, 5)
-    wc = Tensor(rng.uniform(-1.0, 1.0, size=(3, 7)))
-    results.append(check_gradients(
-        "concat_last", lambda: T.mean(T.mul(T.concat_last(c1, c2), wc)), [c1, c2]))
-
-    mask = rng.uniform(size=(3, 4)) < 0.4
-    results.append(check_gradients(
-        "masked_fill", lambda: T.mean(T.mul(T.masked_fill(a, mask, -3.0), w)), [a]))
+    results.append(probed("concat_last", lambda: T.concat_last(c1, c2), [c1, c2]))
 
     table = t(6, 3)
     ids = rng.integers(0, 6, size=5)
-    we = Tensor(rng.uniform(-1.0, 1.0, size=(5, 3)))
-    results.append(check_gradients(
-        "embedding_lookup",
-        lambda: T.mean(T.mul(T.embedding_lookup(table, ids), we)), [table]))
+    results.append(probed("embedding_lookup", lambda: T.embedding_lookup(table, ids),
+                          [table]))
 
-    results.append(check_gradients("gelu", lambda: T.mean(T.mul(T.gelu(a), w)), [a]))
-    results.append(check_gradients("sigmoid", lambda: T.mean(T.mul(T.sigmoid(a), w)), [a]))
-    results.append(check_gradients("softmax", lambda: T.mean(T.mul(T.softmax(a), w)), [a]))
+    results.append(probed("gelu", lambda: T.gelu(a), [a]))
+    results.append(probed("sigmoid", lambda: T.sigmoid(a), [a]))
 
     gain, lbias = t(4, lo=0.5, hi=1.5), t(4)
-    results.append(check_gradients(
-        "layer_norm", lambda: T.mean(T.mul(T.layer_norm(a, gain, lbias), w)),
-        [a, gain, lbias]))
-
-    results.append(check_gradients("mean", lambda: T.mean(a), [a]))
+    results.append(probed("layer_norm", lambda: T.layer_norm(a, gain, lbias),
+                          [a, gain, lbias]))
 
     logits = t(4, 5)
     targets = rng.integers(0, 5, size=4)
@@ -172,19 +156,8 @@ def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
         rtol=rtol))
 
     # the group forms: a leading axis of 2 over the same ops
-    g1, g2 = t(2, 3, 4), t(2, 4, 2)
-    wg = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 2)))
-    results.append(check_gradients(
-        "matmul (3-d @ 2-d)", lambda: T.mean(T.mul(T.matmul(g1, m2), wg)), [g1, m2]))
-    results.append(check_gradients(
-        "matmul (3-d @ 3-d)", lambda: T.mean(T.mul(T.matmul(g1, g2), wg)), [g1, g2]))
-    wt3 = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4, 3)))
-    results.append(check_gradients(
-        "transpose (3-d)", lambda: T.mean(T.mul(T.transpose(g1), wt3)), [g1]))
-    ws = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 4)))
-    results.append(check_gradients(
-        "masked_fill (shared mask)",
-        lambda: T.mean(T.mul(T.masked_fill(g1, mask, -3.0), ws)), [g1]))
+    g1 = t(2, 3, 4)
+    results.append(probed("matmul (3-d @ 2-d)", lambda: T.matmul(g1, m2), [g1, m2]))
     # the last position of each row is padding, with weight 0
     pg = Tensor(rng.uniform(0.15, 0.85, size=(2, 3, 2)), requires_grad=True)
     yg = Tensor(rng.uniform(0.0, 1.0, size=(2, 3, 2)), requires_grad=True)
@@ -193,22 +166,23 @@ def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
         "binary_cross_entropy (pads)",
         lambda: T.binary_cross_entropy(pg, yg, weights=pw), [pg, yg], rtol=rtol))
 
-    # the head-batched forms: a [G, H, ...] stack, and heads moved onto
-    # their own axis
-    h1, h2 = t(2, 2, 3, 4), t(2, 2, 4, 2)
-    wh = Tensor(rng.uniform(-1.0, 1.0, size=(2, 2, 3, 2)))
-    results.append(check_gradients(
-        "matmul (4-d @ 4-d)", lambda: T.mean(T.mul(T.matmul(h1, h2), wh)), [h1, h2]))
-    wsw = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 2, 4)))
-    results.append(check_gradients(
-        "transpose (axes -3, -2)",
-        lambda: T.mean(T.mul(T.transpose(h1, -3, -2), wsw)), [h1]))
-
     # a padded group of next-token logits; the second row ends in padding
     lg, tg = t(2, 3, 5), rng.integers(0, 5, size=(2, 3))
     cw = np.array([[0.5, 0.25, 0.25], [1.0, 0.125, 0.0]])
     results.append(check_gradients(
         "cross_entropy (3-d, pads)", lambda: T.cross_entropy(lg, tg, weights=cw), [lg]))
+
+    # one sequence [T, d] and a group [G, T, d], at 1, 2 and 4 heads
+    for lead in ((), (2,)):
+        q, k, v = t(*lead, 4, 8), t(*lead, 4, 8), t(*lead, 4, 8)
+        for n_heads in (1, 2, 4):
+            results.append(probed(
+                f"causal_attention ({n_heads}h, {len(lead) + 2}-d)",
+                lambda: T.causal_attention(q, k, v, n_heads), [q, k, v]))
+    # the second row ends in two padded positions, with weight 0
+    results.append(probed(
+        "causal_attention (pads)", lambda: T.causal_attention(q, k, v, 2), [q, k, v],
+        weights=np.array([[1.0, 0.5, 0.25, 0.125], [1.0, 0.5, 0.0, 0.0]])))
 
     return results
 

@@ -9,7 +9,6 @@ tracking gradients, so its taps enter downstream graphs as plain values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -219,33 +218,15 @@ def sinusoid_table(t: int, d: int) -> np.ndarray:
     return pe
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Boolean [T, T] mask, true where position i must not see position j > i."""
-    return np.triu(np.ones((t, t), dtype=bool), k=1)
+def attention_module(params: AttentionModuleParams, x: Tensor, n_heads: int) -> Tensor:
+    """Pre-norm residual block: causal multi-head attention then FFN.
 
-
-def attention_module(params: AttentionModuleParams, x: Tensor,
-                     mask: np.ndarray, n_heads: int) -> Tensor:
-    """Pre-norm residual block: masked multi-head attention then FFN.
-
-    ``x`` is [..., T, d]. Every head runs in the same ops: q, k and v are
-    split to [..., H, T, dh], the scores are [..., H, T, T] under the
-    shared [T, T] mask, and the heads merge back to [..., T, d].
+    ``x`` is [..., T, d]. The q, k and v projections stay [..., T, d];
+    ``causal_attention`` splits and merges the heads inside the op.
     """
-    *lead, t, d = x.shape
-    dh = d // n_heads
-
-    def split(a: Tensor) -> Tensor:
-        return T.transpose(T.reshape(a, (*lead, t, n_heads, dh)), -3, -2)
-
     h = T.layer_norm(x, params.ln1_gain, params.ln1_bias)
-    q, k, v = (split(T.matmul(h, w)) for w in (params.wq, params.wk, params.wv))
-    # scaling q rather than the scores saves a pass over [..., H, T, T]
-    scores = T.matmul(T.scale(q, 1.0 / math.sqrt(dh)), T.transpose(k))
-    scores = T.masked_fill(scores, mask, float("-inf"))
-    heads = T.matmul(T.softmax(scores, axis=-1), v)
-    merged = T.reshape(T.transpose(heads, -3, -2), (*lead, t, d))
-    x = T.add(x, T.matmul(merged, params.wo))
+    q, k, v = (T.matmul(h, w) for w in (params.wq, params.wk, params.wv))
+    x = T.add(x, T.matmul(T.causal_attention(q, k, v, n_heads), params.wo))
 
     f = T.layer_norm(x, params.ln2_gain, params.ln2_bias)
     f = T.add(T.matmul(f, params.w1), params.b1)
@@ -283,9 +264,8 @@ def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
 
     x = positional_encode(T.embedding_lookup(model.embedding, ids), cfg.max_seq_len)
     taps = [x]
-    mask = causal_mask(ids.shape[-1])
     for block in model.blocks:
-        x = attention_module(block, x, mask, cfg.n_heads)
+        x = attention_module(block, x, cfg.n_heads)
         taps.append(x)
     h = T.layer_norm(x, model.lnf_gain, model.lnf_bias)
     logits = T.matmul(h, model.head)

@@ -2,19 +2,21 @@
 
 Storage is row-major, gradients are exact, and the graph is rebuilt on
 every forward pass. Broadcasting is deliberately narrow: adding a vector
-to every row, leading axes on ``matmul`` (a group of sequences, and the
-heads of one attention module), and a ``[T, T]`` mask shared by every
-matrix of a ``[..., T, T]`` stack. ``reshape`` and two-axis ``transpose``
-move the heads in and out of their own axis. The op set covers exactly
-what the two transformer towers need.
+to every row, and leading axes on ``matmul`` (a group of sequences) with
+one shared right operand. ``causal_attention`` splits and merges the
+heads of an attention module inside the op, on numpy views, so no head
+axis ever reaches the graph. The op set covers exactly what the two
+transformer towers need: ``add``, ``matmul``, ``concat_last``,
+``embedding_lookup``, ``gelu``, ``sigmoid``, ``layer_norm``,
+``causal_attention``, ``cross_entropy`` and ``binary_cross_entropy``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import erf
@@ -24,10 +26,6 @@ LAYER_NORM_EPS = 1e-5
 
 _SQRT_2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-# Test instrumentation: when set, called once per node during a backward
-# traversal. Never set in production code.
-_visit_hook: Callable | None = None
 
 # A context variable, so each thread (and task) has its own setting.
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
@@ -110,8 +108,6 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while nodes:
             node = nodes.pop()
-            if _visit_hook is not None:
-                _visit_hook(node)
             if node._backward_fn is not None:
                 if node.grad is not None:
                     node._backward_fn(node.grad)
@@ -192,85 +188,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    out = a.data * b.data
-
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _make(out, (a, b), backward, "mul")
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar."""
-    a = _as_tensor(a)
-    s = float(s)
-    out = a.data * s
-
-    def backward(g):
-        _accumulate(a, g * s)
-
-    return _make(out, (a,), backward, "scale")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, in two forms:
-    ``[..., m, k] @ [k, p]`` (one shared right operand, run as a single
-    2-d product over all leading rows) and ``[..., m, k] @ [..., k, p]``
-    with equal leading axes (one product per leading index)."""
+    """``[..., m, k] @ [k, p]``: one right operand shared by every leading
+    index, run as a single 2-d product over all leading rows."""
     a, b = _as_tensor(a), _as_tensor(b)
-    shared = a.ndim >= 2 and b.ndim == 2
-    paired = a.ndim == b.ndim >= 3 and a.shape[:-2] == b.shape[:-2]
-    if not (shared or paired) or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if shared:
-        k, p = b.shape
-        a2 = a.data.reshape(-1, k)
-        out = (a2 @ b.data).reshape(a.shape[:-1] + (p,))
+    k, p = b.shape
+    a2 = a.data.reshape(-1, k)
+    out = (a2 @ b.data).reshape(a.shape[:-1] + (p,))
 
-        def backward(g):
-            g2 = g.reshape(-1, p)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
-            _accumulate(b, a2.T @ g2)
-    else:
-        out = a.data @ b.data
-
-        def backward(g):
-            _accumulate(a, g @ b.data.swapaxes(-1, -2))
-            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+    def backward(g):
+        g2 = g.reshape(-1, p)
+        _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+        _accumulate(b, a2.T @ g2)
 
     return _make(out, (a, b), backward, "matmul")
-
-
-def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
-    """Swap two axes, by default the last two."""
-    a = _as_tensor(a)
-    if not (-a.ndim <= axis1 < a.ndim and -a.ndim <= axis2 < a.ndim):
-        raise ShapeError(f"transpose axes ({axis1}, {axis2}) invalid for shape {a.shape}")
-    out = a.data.swapaxes(axis1, axis2).copy()
-
-    def backward(g):
-        _accumulate(a, g.swapaxes(axis1, axis2))
-
-    return _make(out, (a,), backward, "transpose")
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
-        raise ShapeError(f"reshape cannot map {a.shape} onto {shape}")
-    out = a.data.reshape(shape).copy()
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(out, (a,), backward, "reshape")
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -286,25 +219,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g[..., p:])
 
     return _make(out, (a, b), backward, "concat_last")
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``mask`` is true with ``value`` (may be -inf).
-
-    ``mask`` may cover only the trailing axes, e.g. one ``[T, T]`` mask for
-    every matrix of a ``[G, T, T]`` group. No gradient flows through
-    filled positions.
-    """
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 0 or mask.shape != a.shape[a.ndim - mask.ndim:]:
-        raise ShapeError(f"masked_fill mask shape {mask.shape} != data shape {a.shape}")
-    out = np.where(mask, float(value), a.data)
-
-    def backward(g):
-        _accumulate(a, np.where(mask, 0.0, g))
-
-    return _make(out, (a,), backward, "masked_fill")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -367,27 +281,6 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along ``axis``.
-
-    Rows sum to one and never overflow; -inf entries (from causal
-    masking) map to exactly zero probability, provided each slice keeps
-    at least one finite entry.
-    """
-    a = _as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    out = a.data - np.max(a.data, axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        _accumulate(a, out * (g - inner))
-
-    return _make(out, (a,), backward, "softmax")
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
                eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize each row of the last axis to zero mean / unit variance,
@@ -422,15 +315,55 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     return _make(out, (a, gain, bias), backward, "layer_norm")
 
 
-def mean(a: Tensor) -> Tensor:
-    """Mean over all elements, as a scalar tensor."""
-    a = _as_tensor(a)
-    out = np.asarray(np.mean(a.data))
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Causal multi-head scaled dot-product attention over [..., T, d]
+    query, key and value projections; head h owns columns h*dh:(h+1)*dh.
+
+    The heads are split and merged on numpy views, and q is scaled by
+    1/sqrt(dh). Position i attends to positions 0..i only: later keys get
+    exactly zero weight, so row i of the result does not depend on later
+    rows of k or v. The softmax is max-subtracted, in place. Backward
+    reuses the forward's weights P: dS = P * (dP - rowsum(dP * P)).
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim < 2 or not q.shape == k.shape == v.shape or q.shape[-1] % n_heads:
+        raise ShapeError(f"causal_attention needs equal [..., T, d] operands with d "
+                         f"divisible by {n_heads} heads, got {q.shape}, {k.shape}, "
+                         f"{v.shape}")
+    *lead, t, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a: np.ndarray) -> np.ndarray:  # [..., T, d] -> [..., H, T, dh]
+        return a.reshape(*lead, t, n_heads, dh).swapaxes(-3, -2)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # [..., H, T, dh] -> [..., T, d]
+        return a.swapaxes(-3, -2).reshape(q.shape)
+
+    qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
+    np.copyto(p, -np.inf, where=np.triu(np.ones((t, t), dtype=bool), k=1))
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    out = merge(p @ vh)
 
     def backward(g):
-        _accumulate(a, np.full_like(a.data, float(g) / a.size))
+        gh = split(g)
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= np.sum(ds * p, axis=-1, keepdims=True)
+        ds *= p
+        dq = ds @ kh
+        dq *= scale
+        _accumulate(q, merge(dq))
+        _accumulate(k, merge(ds.swapaxes(-1, -2) @ qh))
+        _accumulate(v, merge(p.swapaxes(-1, -2) @ gh))
 
-    return _make(out, (a,), backward, "mean")
+    return _make(out, (q, k, v), backward, "causal_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from . import tensor as T
 from .checkpoint import parameter_checksum
 from .doppelganger import BicameralModel, doppel_forward, parameters as doppel_parameters
 from .language import FrozenModelError, LayerTaps, forward, named_parameters as lm_named
-from .optim import (GROUP_SIZE, NumericError, OptimConfig,  # noqa: F401
-                    _groups, _pad, epochs)
+from .optim import NumericError, OptimConfig, _groups, _pad, epochs
 from .tensor import Tensor
 
 

@@ -27,20 +27,24 @@ def ref_sigmoid(x):
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def ref_block(x, blk, n_heads):
-    t, d = x.shape
+def ref_attention(q, k, v, n_heads):
+    """Causal attention of [T, d] projections, one head at a time."""
+    t, d = q.shape
     dh = d // n_heads
-    h = ref_layer_norm(x, blk.ln1_gain.data, blk.ln1_bias.data)
     heads = []
     for cols in (slice(i * dh, (i + 1) * dh) for i in range(n_heads)):
-        wq, wk, wv = blk.wq.data[:, cols], blk.wk.data[:, cols], blk.wv.data[:, cols]
-        q, k, v = h @ wq, h @ wk, h @ wv
-        s = q @ k.T / math.sqrt(dh)
+        s = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
         s = np.where(np.triu(np.ones((t, t), bool), 1), -np.inf, s)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
-        heads.append(p @ v)
-    x = x + np.concatenate(heads, axis=-1) @ blk.wo.data
+        heads.append(p @ v[:, cols])
+    return np.concatenate(heads, axis=-1)
+
+
+def ref_block(x, blk, n_heads):
+    h = ref_layer_norm(x, blk.ln1_gain.data, blk.ln1_bias.data)
+    q, k, v = h @ blk.wq.data, h @ blk.wk.data, h @ blk.wv.data
+    x = x + ref_attention(q, k, v, n_heads) @ blk.wo.data
     f = ref_layer_norm(x, blk.ln2_gain.data, blk.ln2_bias.data)
     f = ref_gelu(f @ blk.w1.data + blk.b1.data) @ blk.w2.data + blk.b2.data
     return x + f

@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bicameral
 from bicameral.checkpoint import load_checkpoint, save_checkpoint
 from bicameral.cli import main
 
@@ -46,6 +51,15 @@ def write_workspace(root, seed=5, lm=None, doppel=None, corpus_reps=30,
 def run(args, monkeypatch, where):
     monkeypatch.chdir(where)
     return main(args)
+
+
+def trained_workspace(root, monkeypatch):
+    """A checkpoint with both towers at the smallest useful scale."""
+    write_workspace(root, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2, d_ff=32),
+                    doppel=dict(TOY_DOPPEL, d_shadow=8, n_heads_shadow=2, d_ff_shadow=16),
+                    n_sequences=16, epochs=1)
+    for command in ("pretrain", "make-data", "train-doppel"):
+        assert run(["--config", "run.json", command], monkeypatch, root) == 0
 
 
 class TestPipeline:
@@ -191,6 +205,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("refused:") and err.count("\n") == 1
         assert message in err
+
+    def test_generate_refuses_non_finite_checkpoint(self, tmp_path, monkeypatch, capsys):
+        trained_workspace(tmp_path, monkeypatch)
+        ckpt = load_checkpoint(tmp_path / "model.ckpt")
+        params = dict(ckpt.params)
+        params["doppel.head.b"] = np.full_like(params["doppel.head.b"], np.nan)
+        save_checkpoint(tmp_path / "model.ckpt", ckpt.config, list(params.items()))
+        capsys.readouterr()
+        assert run(["--config", "run.json", "generate", "--prompt", "abc",
+                    "--max-new", "2"], monkeypatch, tmp_path) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("refused:") and err.count("\n") == 1
+        assert "non-finite" in err and "doppel.head.b" in err
+
+    def test_generate_into_a_closed_pipe_ends_cleanly(self, tmp_path, monkeypatch):
+        trained_workspace(tmp_path, monkeypatch)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first event
+        env = dict(os.environ, PYTHONPATH=str(Path(bicameral.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bicameral.cli", "--config", "run.json",
+                 "generate", "--prompt", "abc", "--max-new", "40"],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_pretrain_non_finite_is_a_numeric_failure(self, tmp_path, monkeypatch,
                                                       capsys, recwarn):

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from bicameral.doppelganger import (BicameralModel, DoppelConfig, init_doppelganger,
-                                    score_prefixes)
+from bicameral import generation
+from bicameral import tensor as T
+from bicameral.doppelganger import (BicameralModel, DoppelConfig, bicameral_forward,
+                                    init_doppelganger, score_prefixes)
 from bicameral.doppelganger import named_parameters as doppel_named
-from bicameral.generation import SamplerConfig, generate, sample
+from bicameral.generation import GenerationEvent, SamplerConfig, generate, sample
 from bicameral.language import (CharTokenizer, LMConfig, SequenceError, forward,
                                 freeze, init_language_model)
 from bicameral.language import named_parameters as lm_named
@@ -146,6 +148,25 @@ class TestGenerate:
         obj = json.loads(events[-1].to_json())
         assert set(obj.keys()) == {"pos", "token", "id", "scores"}
         assert obj["id"] == events[-1].token_id
+
+    def test_json_is_strict(self):
+        with pytest.raises(ValueError):
+            GenerationEvent(0, 1, "a", (float("nan"),)).to_json()
+
+    def test_passes_build_no_graph(self, monkeypatch):
+        bm = make_bicameral(seed=12)  # the shadow tower is trainable
+        graphs = []
+
+        def recording(bm, tokens):
+            logits, scores = bicameral_forward(bm, tokens)
+            graphs.append(scores.requires_grad)
+            return logits, scores
+
+        monkeypatch.setattr(generation, "bicameral_forward", recording)
+        x = T.Tensor([1.0], requires_grad=True)
+        for _ in generate(bm, [0, 1], 3, SamplerConfig()):
+            assert T.add(x, x).requires_grad  # the consumer keeps its own setting
+        assert graphs == [False] * 4
 
     def test_stream_is_lazy(self):
         bm = make_bicameral(seed=11)
