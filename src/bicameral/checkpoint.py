@@ -112,6 +112,12 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint {what} is not UTF-8: {exc}") from exc
+
     def u8(self) -> int:
         return struct.unpack("<B", self.take(1))[0]
 
@@ -130,12 +136,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version} is not "
                               f"supported (expected {FORMAT_VERSION})")
-    config = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    try:
+        config = json.loads(reader.text(reader.u32(), "config block"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: config block is not JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config block is not a JSON object")
     count = reader.u32()
     digest = hashlib.sha256()
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = reader.take(reader.u16()).decode("utf-8")
+        name = reader.text(reader.u16(), "record name")
         rank = reader.u8()
         shape = tuple(reader.u32() for _ in range(rank))
         n_bytes = int(np.prod(shape, dtype=np.int64)) * 8

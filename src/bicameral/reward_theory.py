@@ -3,25 +3,29 @@ shared-parameter models under monotone composite rewards.
 
 Everything is finite: inputs, parameter grids, and output spaces, so
 optima come from exact enumeration and the dominance inequality is
-checked, not argued. A configuration's composite value is the composite
-map applied to its per-objective mean rewards over the input set; the
-split model optimizes each objective's parameters against that
-objective's mean reward alone. The same construction is also run
-restricted to each single input, which checks the pointwise statement.
+checked, not argued. An instance's rewards are gathered once into a table
+``rewards[theta, t, i]``. A configuration's composite value is the
+composite map applied to its per-objective mean rewards over the input
+set; the split model optimizes each objective's parameters against that
+objective's mean reward alone. The same construction on each single
+input, read off the same table, checks the pointwise statement.
 
-Monotonicity is never assumed: reward functions are checked exhaustively
-against their space's declared partial order, and composite maps against
-the attainable reward-value grid. Instances with a non-monotone
+Monotonicity is never assumed. Reward functions are checked exhaustively
+against the componentwise order of their space's points. Composite maps
+are checked on the grid of attainable reward values: M is monotone there
+exactly when no grid point v has a down-set {u <= v} whose maximum of M
+exceeds M(v). That maximum is a running max along each axis in turn (a
+summed-area table with max in place of +), so the check is exact and
+needs memory linear in the grid size. Instances with a non-monotone
 composite map are rejected unless explicitly admitted as negative
 controls, where the inequality is allowed to fail.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -33,16 +37,11 @@ class InstanceError(ValueError):
     """The instance violates a construction precondition or a size guard."""
 
 
-def componentwise_leq(u: Sequence[float], v: Sequence[float]) -> bool:
-    return all(a <= b for a, b in zip(u, v))
-
-
 @dataclass(frozen=True)
 class Space:
-    """A finite set of real vectors with a declared partial order."""
+    """A finite set of real vectors, ordered componentwise."""
 
     points: tuple[tuple[float, ...], ...]
-    leq: Callable[[Sequence[float], Sequence[float]], bool] = componentwise_leq
 
     def __post_init__(self):
         if not self.points:
@@ -68,18 +67,17 @@ class RewardFunction:
         return self.values[point_index]
 
     def is_monotone_on(self, space: Space) -> bool:
-        """Exhaustive pair check against the space's declared order."""
+        """Exhaustive pair check against the componentwise order."""
         if len(self.values) != len(space):
             raise InstanceError("reward table does not cover the space")
-        for i, j in itertools.product(range(len(space)), repeat=2):
-            if space.leq(space.points[i], space.points[j]) and \
-                    self.values[i] > self.values[j] + TOL:
-                return False
-        return True
+        points = np.asarray(space.points, dtype=np.float64)
+        values = np.asarray(self.values)
+        below = (points[:, None, :] <= points[None, :, :]).all(axis=-1)
+        return not (below & (values[:, None] > values[None, :] + TOL)).any()
 
 
 # ---------------------------------------------------------------------------
-# composite maps
+# composite maps: each takes rewards [..., n] and returns values [...]
 # ---------------------------------------------------------------------------
 
 class WeightedSum:
@@ -90,27 +88,15 @@ class WeightedSum:
         if (self.weights < 0).any():
             raise InstanceError("weighted-sum weights must be nonnegative")
 
-    def __call__(self, rewards: Sequence[float]) -> float:
-        return float(np.dot(self.weights, np.asarray(rewards, dtype=np.float64)))
-
-    def batch(self, rewards: np.ndarray) -> np.ndarray:
-        return rewards @ self.weights
-
-    def describe(self) -> dict:
-        return {"kind": "weighted_sum", "weights": self.weights.tolist()}
+    def __call__(self, rewards) -> np.ndarray:
+        return np.asarray(rewards, dtype=np.float64) @ self.weights
 
 
 class MinOf:
     """min_i r_i; monotone."""
 
-    def __call__(self, rewards: Sequence[float]) -> float:
-        return float(np.min(np.asarray(rewards, dtype=np.float64)))
-
-    def batch(self, rewards: np.ndarray) -> np.ndarray:
-        return np.min(rewards, axis=-1)
-
-    def describe(self) -> dict:
-        return {"kind": "min"}
+    def __call__(self, rewards) -> np.ndarray:
+        return np.min(np.asarray(rewards, dtype=np.float64), axis=-1)
 
 
 class ShiftedProduct:
@@ -121,29 +107,8 @@ class ShiftedProduct:
     def __init__(self, shifts: Sequence[float]):
         self.shifts = np.asarray(shifts, dtype=np.float64)
 
-    def __call__(self, rewards: Sequence[float]) -> float:
-        return float(np.prod(np.asarray(rewards, dtype=np.float64) + self.shifts))
-
-    def batch(self, rewards: np.ndarray) -> np.ndarray:
-        return np.prod(rewards + self.shifts, axis=-1)
-
-    def describe(self) -> dict:
-        return {"kind": "shifted_product", "shifts": self.shifts.tolist()}
-
-
-class TableMap:
-    """Arbitrary user composition; admitted only if the exhaustive
-    monotonicity check passes (or the caller opts into a negative control)."""
-
-    def __init__(self, fn: Callable[[Sequence[float]], float], name: str = "custom"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, rewards: Sequence[float]) -> float:
-        return float(self.fn(rewards))
-
-    def describe(self) -> dict:
-        return {"kind": "table", "name": self.name}
+    def __call__(self, rewards) -> np.ndarray:
+        return np.prod(np.asarray(rewards, dtype=np.float64) + self.shifts, axis=-1)
 
 
 @dataclass
@@ -163,28 +128,21 @@ class CompositeReward:
         return len(self.rewards)
 
 
-def _compose_rows(compose, rows: np.ndarray) -> np.ndarray:
-    """The composite map applied to each row of reward vectors."""
-    if hasattr(compose, "batch"):
-        return compose.batch(rows)
-    return np.asarray([compose(row) for row in rows])
-
-
 def check_monotone(compose, value_sets: Sequence[Sequence[float]]) -> bool:
-    """Exhaustive dominance check of a composite map over the grid of
-    attainable reward values.
+    """Exact dominance check of a composite map over the grid of attainable
+    reward values: M(u) <= M(v) + TOL for every pair u <= v (componentwise).
 
-    For every pair of reward vectors u <= v (componentwise) the map must
-    satisfy M(u) <= M(v).
+    The maximum of M over each point's down-set is a running max along
+    every axis of the sorted grid in turn; the map fails exactly where that
+    maximum exceeds the point's own value by more than TOL.
     """
     grids = [np.unique(np.asarray(vs, dtype=np.float64)) for vs in value_sets]
-    points = np.array(list(itertools.product(*grids)))
-    vals = _compose_rows(compose, points)
-    le = np.ones((len(points), len(points)), dtype=bool)
-    for axis in range(points.shape[1]):
-        le &= points[:, None, axis] <= points[None, :, axis]
-    violation = le & (vals[:, None] > vals[None, :] + TOL)
-    return not violation.any()
+    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)
+    values = compose(points.reshape(-1, len(grids))).reshape(points.shape[:-1])
+    down_max = values
+    for axis in range(values.ndim):
+        down_max = np.maximum.accumulate(down_max, axis=axis)
+    return not (down_max > values + TOL).any()
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +179,6 @@ class FiniteLanguageFunction:
     @property
     def n(self) -> int:
         return len(self.spaces)
-
-    def evaluate(self, theta_index: int, input_index: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.table[theta_index, input_index])
 
 
 @dataclass
@@ -273,19 +228,14 @@ def _guard(n_thetas: int, n_inputs: int) -> None:
                             f"exceeds the {ENUMERATION_GUARD} guard")
 
 
-def _shared_means(f: FiniteLanguageFunction, cr: CompositeReward,
-                  input_subset: Sequence[int] | None = None) -> np.ndarray:
-    """Per-objective mean rewards for every shared theta, [|thetas|, n]."""
-    cols = np.arange(len(f.inputs)) if input_subset is None else np.asarray(input_subset)
-    means = np.empty((len(f.thetas), f.n))
-    for i in range(f.n):
-        values = np.asarray(cr.rewards[i].values)
-        means[:, i] = values[f.table[:, cols, i]].mean(axis=1)
-    return means
+def _reward_table(f: FiniteLanguageFunction, cr: CompositeReward) -> np.ndarray:
+    """``rewards[theta, t, i]``: objective i's reward for shared parameter
+    theta on input t."""
+    return np.stack([np.asarray(r.values)[f.table[:, :, i]]
+                     for i, r in enumerate(cr.rewards)], axis=-1)
 
 
-def optimize_shared(f: FiniteLanguageFunction, cr: CompositeReward,
-                    input_subset: Sequence[int] | None = None):
+def optimize_shared(f: FiniteLanguageFunction, cr: CompositeReward):
     """Exact enumeration of the best shared theta.
 
     The objective is the composite map applied to the per-objective mean
@@ -296,13 +246,12 @@ def optimize_shared(f: FiniteLanguageFunction, cr: CompositeReward,
         raise InstanceError(f"composite reward has {cr.n} components, "
                             f"instance has {f.n} objectives")
     _guard(len(f.thetas), len(f.inputs))
-    composite = _compose_rows(cr.compose, _shared_means(f, cr, input_subset))
+    composite = cr.compose(_reward_table(f, cr).mean(axis=1))
     best = int(np.argmax(composite))  # argmax keeps the first of equal values
     return best, float(composite[best])
 
 
-def optimize_split(split: SplitLanguageFunction, cr: CompositeReward,
-                   input_subset: Sequence[int] | None = None):
+def optimize_split(split: SplitLanguageFunction, cr: CompositeReward):
     """Optimize each objective's grid against its own mean reward alone.
 
     Returns (theta_indices, composite_value) where the value is the
@@ -311,17 +260,13 @@ def optimize_split(split: SplitLanguageFunction, cr: CompositeReward,
     if cr.n != split.n:
         raise InstanceError(f"composite reward has {cr.n} components, "
                             f"instance has {split.n} objectives")
-    cols = (np.arange(len(split.inputs)) if input_subset is None
-            else np.asarray(input_subset))
     picks = []
     achieved = np.empty(split.n)
     for i in range(split.n):
         _guard(len(split.theta_grids[i]), len(split.inputs))
-        values = np.asarray(cr.rewards[i].values)
-        means = values[split.tables[i][:, cols]].mean(axis=1)
-        j = int(np.argmax(means))
-        picks.append(j)
-        achieved[i] = means[j]
+        means = np.asarray(cr.rewards[i].values)[split.tables[i]].mean(axis=1)
+        picks.append(int(np.argmax(means)))
+        achieved[i] = means[picks[-1]]
     return tuple(picks), float(cr.compose(achieved))
 
 
@@ -348,18 +293,7 @@ class SupremacyReport:
         self.margin = self.split_value - self.shared_value
 
     def to_dict(self) -> dict:
-        return {"description": self.description,
-                "n_objectives": self.n_objectives,
-                "shared_theta": self.shared_theta,
-                "shared_value": self.shared_value,
-                "split_thetas": list(self.split_thetas),
-                "split_value": self.split_value,
-                "verdict": self.verdict,
-                "monotone": self.monotone,
-                "separable_equality": self.separable_equality,
-                "per_objective_dominance": self.per_objective_dominance,
-                "pointwise_ok": self.pointwise_ok,
-                "margin": self.margin}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -373,13 +307,15 @@ def _check_construction(f: FiniteLanguageFunction, split: SplitLanguageFunction)
                             "and spaces as the shared one")
     for i in range(f.n):
         index_of = {label: j for j, label in enumerate(split.theta_grids[i])}
-        for j, label in enumerate(f.thetas):
+        for label in f.thetas:
             if label not in index_of:
                 raise InstanceError(f"objective {i} grid is missing shared "
                                     f"parameter {label!r}")
-            if not np.array_equal(split.tables[i][index_of[label]], f.table[j, :, i]):
-                raise InstanceError(f"objective {i} map disagrees with the shared "
-                                    f"projection at parameter {label!r}")
+        rows = split.tables[i][[index_of[label] for label in f.thetas]]
+        differs = (rows != f.table[:, :, i]).any(axis=1)
+        if differs.any():
+            raise InstanceError(f"objective {i} map disagrees with the shared projection "
+                                f"at parameter {f.thetas[int(np.argmax(differs))]!r}")
 
 
 def verify_supremacy(f: FiniteLanguageFunction, split: SplitLanguageFunction,
@@ -404,7 +340,8 @@ def verify_supremacy(f: FiniteLanguageFunction, split: SplitLanguageFunction,
         raise InstanceError("composite map failed the monotonicity check; pass "
                             "allow_non_monotone=True to run it as a negative control")
 
-    means = _shared_means(f, cr)
+    rewards = _reward_table(f, cr)  # [theta, t, i]
+    means = rewards.mean(axis=1)
     if shared_theta is None:
         shared_idx, shared_value = optimize_shared(f, cr)
     else:
@@ -412,24 +349,20 @@ def verify_supremacy(f: FiniteLanguageFunction, split: SplitLanguageFunction,
         shared_value = float(cr.compose(means[shared_idx]))
     split_picks, split_value = optimize_split(split, cr)
 
+    # split_rewards[i][j, t]: objective i's reward for its parameter j on input t
+    split_rewards = [np.asarray(r.values)[table] for r, table in zip(cr.rewards, split.tables)]
     shared_mean = means[shared_idx]
-    dominance = []
-    for i in range(f.n):
-        values = np.asarray(cr.rewards[i].values)
-        split_best = values[split.tables[i]].mean(axis=1).max()
-        dominance.append(bool(split_best >= shared_mean[i] - TOL))
-
+    dominance = [bool(r.mean(axis=1).max() >= shared_mean[i] - TOL)
+                 for i, r in enumerate(split_rewards)]
     separable = bool(np.all(shared_mean >= means.max(axis=0) - TOL))
 
-    pointwise_ok = True
-    for t in range(len(f.inputs)):
-        if shared_theta is None:
-            _, sh_t = optimize_shared(f, cr, input_subset=[t])
-        else:
-            sh_t = float(cr.compose(_shared_means(f, cr, input_subset=[t])[shared_idx]))
-        _, sp_t = optimize_split(split, cr, input_subset=[t])
-        if not sh_t <= sp_t + TOL:
-            pointwise_ok = False
+    # the same construction on each single input: values per input, [t]
+    if shared_theta is None:
+        shared_t = cr.compose(rewards).max(axis=0)
+    else:
+        shared_t = cr.compose(rewards[shared_idx])
+    split_t = cr.compose(np.stack([r.max(axis=0) for r in split_rewards], axis=-1))
+    pointwise_ok = bool(np.all(shared_t <= split_t + TOL))
 
     verdict = bool(shared_value <= split_value + TOL)
     return SupremacyReport(
@@ -521,10 +454,8 @@ def make_antagonistic_instance() -> tuple[FiniteLanguageFunction, CompositeRewar
 
 
 def make_negative_control() -> tuple[FiniteLanguageFunction, CompositeReward]:
-    """A decreasing composite map: the dominance inequality provably fails,
-    showing the monotonicity hypothesis is load-bearing."""
-    f, _ = make_antagonistic_instance()
-    r = RewardFunction(values=(0.0, 1.0))
-    cr = CompositeReward(rewards=(r, r),
-                         compose=TableMap(lambda rew: -rew[0], name="negate_first"))
-    return f, cr
+    """A composite map that falls as the second reward rises, (r1 - 2) * r2:
+    the dominance inequality provably fails (shared optimum 0, split value
+    -1), showing the monotonicity hypothesis is load-bearing."""
+    f, cr = make_antagonistic_instance()
+    return f, CompositeReward(rewards=cr.rewards, compose=ShiftedProduct([-2.0, 0.0]))

@@ -157,7 +157,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g  # no backward hands one array to two parents, so no copy
     else:
         t.grad += g
 
@@ -183,7 +183,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if row_broadcast:
             _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
         else:
-            _accumulate(b, g)
+            _accumulate(b, g.copy())
 
     return _make(out, (a, b), backward, "add")
 

@@ -164,14 +164,21 @@ def save_dataset(path: str | Path, data: list[SupervisedSequence]) -> None:
 
 
 def load_dataset(path: str | Path) -> list[SupervisedSequence]:
+    """One ``{"tokens": [...], "labels": [[...], ...]}`` object per line; a
+    malformed line raises ValueError naming the file and the line."""
     data = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            data.append(SupervisedSequence(tokens=obj["tokens"],
-                                           labels=np.asarray(obj["labels"])))
+            try:
+                obj = json.loads(line)
+                tokens = list(obj["tokens"])
+                if not all(type(t) is int for t in tokens):
+                    raise ValueError("tokens must be integer ids")
+                data.append(SupervisedSequence(tokens=tokens, labels=obj["labels"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {number}: {type(exc).__name__}: {exc}") from exc
     return data
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicameral
 from bicameral.checkpoint import load_checkpoint, save_checkpoint
@@ -206,6 +210,48 @@ class TestExitCodes:
         assert err.startswith("refused:") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("line", [
+        '{"labels": [[0.0]]}',                  # no tokens
+        '{"tokens": [1]}',                      # no labels
+        '[[1], [[0.0]]]',                       # an array, not an object
+        '"tokens"',                             # a string, not an object
+        '{"tokens": 1, "labels": [[0.0]]}',     # tokens not a list
+        '{"tokens": [1.5], "labels": [[0.0]]}',  # a non-integer id
+        '{"tokens": [1, 2], "labels": [[0.0], 0.5]}',  # ragged labels
+        '{"tokens": [1], "labels": {"a": 0}}',  # labels not a list
+    ])
+    def test_malformed_dataset_line_is_a_config_error(self, tmp_path, monkeypatch,
+                                                      capsys, line):
+        trained_workspace(tmp_path, monkeypatch)
+        lines = (tmp_path / "train.jsonl").read_text().splitlines()
+        lines[2] = line
+        (tmp_path / "train.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["--config", "run.json", "train-doppel"],
+                   monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "train.jsonl line 3" in err
+
+    @pytest.mark.parametrize("case", ["not-utf8", "not-json", "json-array"])
+    def test_corrupt_config_block_is_a_refusal(self, tmp_path, monkeypatch, capsys,
+                                               case):
+        trained_workspace(tmp_path, monkeypatch)
+        path = tmp_path / "model.ckpt"
+        if case == "json-array":
+            ckpt = load_checkpoint(path)
+            save_checkpoint(path, [ckpt.config], list(ckpt.params.items()))
+        else:
+            raw = bytearray(path.read_bytes())
+            raw[12] = 0xFF if case == "not-utf8" else ord("x")  # the block's "{"
+            path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(["--config", "run.json", "generate", "--prompt", "a"],
+                   monkeypatch, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and err.count("\n") == 1
+        assert "config block" in err
+
     def test_generate_refuses_non_finite_checkpoint(self, tmp_path, monkeypatch, capsys):
         trained_workspace(tmp_path, monkeypatch)
         ckpt = load_checkpoint(tmp_path / "model.ckpt")
@@ -277,6 +323,69 @@ class TestExitCodes:
         run(["--config", "run.json", "train-doppel"], monkeypatch, tmp_path)
         assert run(["--config", "run.json", "generate", "--prompt", "a!z"],
                    monkeypatch, tmp_path) == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A trained toy workspace and a config naming it by absolute paths, with
+    outputs that leave the fuzzed inputs in place."""
+    root = tmp_path_factory.mktemp("fuzz")
+    with pytest.MonkeyPatch.context() as mp:
+        trained_workspace(root, mp)
+    config = json.loads((root / "run.json").read_text())
+    config["paths"] = {key: str(root / name) for key, name in config["paths"].items()}
+    config["paths"].update(checkpoint_out=str(root / "out.ckpt"),
+                           log=str(root / "out.jsonl"))
+    (root / "fuzz.json").write_text(json.dumps(config), encoding="utf-8")
+    return root
+
+
+def run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception here is the traceback this rules out
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+    def check(self, code, err):
+        assert code in (0, 2, 3, 4)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+
+    @FUZZ
+    @given(where=st.integers(0, 2**20), byte=st.integers(0, 255))
+    def test_checkpoint_byte_flips(self, fuzz_workspace, where, byte):
+        path = fuzz_workspace / "model.ckpt"
+        original = path.read_bytes()
+        raw = bytearray(original)
+        raw[where % len(raw)] = byte
+        path.write_bytes(bytes(raw))
+        try:
+            self.check(*run_quietly(["--config", str(fuzz_workspace / "fuzz.json"),
+                                     "generate", "--prompt", "ab", "--max-new", "1"]))
+        finally:
+            path.write_bytes(original)
+
+    @FUZZ
+    @given(line=st.integers(0, 2**10), where=st.integers(0, 2**10),
+           edit=st.sampled_from(["replace", "insert", "delete"]),
+           char=st.characters(min_codepoint=32, max_codepoint=126))
+    def test_dataset_line_edits(self, fuzz_workspace, line, where, edit, char):
+        path = fuzz_workspace / "train.jsonl"
+        original = path.read_text()
+        lines = original.splitlines()
+        text = lines[line % len(lines)]
+        i = where % len(text)
+        lines[line % len(lines)] = text[:i] + {"replace": char, "insert": char + text[i],
+                                               "delete": ""}[edit] + text[i + 1:]
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            self.check(*run_quietly(["--config", str(fuzz_workspace / "fuzz.json"),
+                                     "train-doppel"]))
+        finally:
+            path.write_text(original)
 
 
 class TestLemmaDemo:

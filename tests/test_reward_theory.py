@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from bicameral.reward_theory import (CompositeReward, FiniteLanguageFunction,
                                      InstanceError, MinOf, RewardFunction,
                                      ShiftedProduct, Space, SplitLanguageFunction,
-                                     TableMap, WeightedSum, check_monotone,
+                                     WeightedSum, check_monotone,
                                      make_antagonistic_instance,
                                      make_negative_control,
                                      make_separable_instance, optimize_shared,
@@ -45,6 +47,48 @@ def oracle_split(split, cr):
         picks.append(best_j)
         achieved.append(best_m)
     return tuple(picks), cr.compose(achieved)
+
+
+# The pair form of monotonicity, written out: every grid pair u <= v
+# (componentwise) must have M(u) <= M(v) + TOL.
+def oracle_monotone(compose, value_sets):
+    grids = [sorted(set(float(v) for v in vs)) for vs in value_sets]
+    points = list(itertools.product(*grids))
+    values = [float(compose(np.array(p))) for p in points]
+    for u, mu in zip(points, values):
+        for v, mv in zip(points, values):
+            if all(a <= b for a, b in zip(u, v)) and mu > mv + TOL:
+                return False
+    return True
+
+
+# The pointwise statement input by input: on each single input, the best
+# (or the pinned) shared parameter's composite value is at most that of the
+# per-objective best parameters on that input.
+def oracle_pointwise(f, split, cr, shared_theta=None):
+    for t in range(len(f.inputs)):
+        shared = [cr.compose([cr.rewards[i](int(f.table[j, t, i])) for i in range(f.n)])
+                  for j in range(len(f.thetas))]
+        sh = max(shared) if shared_theta is None else shared[shared_theta]
+        sp = cr.compose([max(cr.rewards[i](int(split.tables[i][j, t]))
+                             for j in range(len(split.theta_grids[i])))
+                         for i in range(split.n)])
+        if not sh <= sp + TOL:
+            return False
+    return True
+
+
+def random_map(rng, n):
+    """A composite map that may or may not be monotone."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return WeightedSum(rng.uniform(0.0, 1.0, size=n))
+    if kind == 1:
+        return MinOf()
+    if kind == 2:
+        return ShiftedProduct(rng.uniform(-1.5, 1.5, size=n))
+    a, b = rng.uniform(-0.2, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n)
+    return lambda r: np.asarray(r) @ a + (np.asarray(r) ** 2) @ b
 
 
 def single_objective_instance():
@@ -151,7 +195,31 @@ class TestMonotonicity:
         assert check_monotone(ShiftedProduct([1.1, 0.0]), values)
 
     def test_decreasing_map_detected(self):
-        assert not check_monotone(TableMap(lambda r: -r[0]), [(0.0, 1.0), (0.0, 1.0)])
+        assert not check_monotone(ShiftedProduct([-2.0, 0.0]), [(0.0, 1.0), (0.0, 1.0)])
+
+    def test_agrees_with_pair_oracle_on_seeded_maps(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(600):
+            n = int(rng.integers(1, 4))
+            # rounded values repeat, so grids also carry ties
+            value_sets = [np.round(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 6))), 1)
+                          for _ in range(n)]
+            compose = random_map(rng, n)
+            want = oracle_monotone(compose, value_sets)
+            assert check_monotone(compose, value_sets) == want
+            verdicts.append(want)
+        assert 100 <= sum(verdicts) <= 500  # both kinds are well represented
+
+    def test_memory_stays_linear_in_the_grid(self):
+        value_sets = [np.linspace(-1.0, 1.0, 8) + k for k in range(4)]  # 4096 points
+        tracemalloc.start()
+        try:
+            assert check_monotone(WeightedSum([0.1, 0.2, 0.3, 0.4]), value_sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_negative_weight_rejected_at_construction(self):
         with pytest.raises(InstanceError):
@@ -212,6 +280,23 @@ class TestVerifySupremacy:
                                allow_non_monotone=True)
         assert not rep.monotone
         assert not rep.verdict  # the hypothesis is load-bearing
+        assert not rep.pointwise_ok
+
+    def test_pointwise_matches_per_input_oracle(self):
+        rng = np.random.default_rng(31)
+        outcomes = []
+        for k in range(120):
+            f, cr = random_instance(seed=9000 + k)
+            if k % 2:  # half the instances get a map that may break the claim
+                cr = CompositeReward(rewards=cr.rewards, compose=random_map(rng, f.n))
+            split = SplitLanguageFunction.from_shared(f)
+            for pinned in (None, int(rng.integers(0, len(f.thetas)))):
+                rep = verify_supremacy(f, split, cr, shared_theta=pinned,
+                                       allow_non_monotone=True)
+                want = oracle_pointwise(f, split, cr, shared_theta=pinned)
+                assert rep.pointwise_ok == want, f"instance {k}, pinned {pinned}"
+                outcomes.append(want)
+        assert not all(outcomes) and any(outcomes)
 
     def test_non_monotone_reward_rejected(self):
         f, cr = single_objective_instance()

@@ -362,6 +362,22 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(x.grad, [2.0])
 
+    @pytest.mark.parametrize("sum_first", [True, False])
+    def test_add_gives_each_parent_its_own_gradient(self, sum_first):
+        # a is used again after add(a, b), so a's gradient grows after b's is
+        # stored; the two must not be one array
+        a = Tensor([0.5, -1.0], requires_grad=True)
+        b = Tensor([2.0, 3.0], requires_grad=True)
+        s, h = T.add(a, b), T.gelu(a)
+        loss = total(T.add(s, h) if sum_first else T.add(h, s))
+        loss.backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_allclose(b.grad, [1.0, 1.0])
+        x = a.data
+        gelu_slope = (0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+                      + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+        np.testing.assert_allclose(a.grad, 1.0 + gelu_slope, rtol=1e-12)
+
     def test_interior_gradients_released_leaf_gradients_kept(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = T.add(x, x)
