@@ -41,6 +41,7 @@ EXIT_REFUSED = 3
 EXIT_NUMERIC = 4
 
 CHECKPOINT_KIND = "bicameral-checkpoint"
+SECTIONS = ("paths", "lm", "doppel", "pretrain", "train", "task", "sampler")
 
 
 class ConfigError(ValueError):
@@ -58,9 +59,12 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        config = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return config
 
 
 def _merge_flags(config: dict, args: argparse.Namespace) -> dict:
@@ -69,7 +73,12 @@ def _merge_flags(config: dict, args: argparse.Namespace) -> dict:
         merged["seed"] = args.seed
     if "seed" not in merged:
         raise ConfigError("a seed must be given, in the config file or via --seed")
+    if type(merged["seed"]) is not int:
+        raise ConfigError(f"the seed must be an integer, got {merged['seed']!r}")
     merged.setdefault("paths", {})
+    for section in SECTIONS:
+        if not isinstance(merged.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
     return merged
 
 
@@ -77,6 +86,8 @@ def _path(config: dict, key: str, must_exist: bool = False) -> Path:
     paths = config.get("paths", {})
     if key not in paths:
         raise ConfigError(f"config is missing paths.{key}")
+    if not isinstance(paths[key], str) or not paths[key]:
+        raise ConfigError(f"paths.{key} must be a non-empty string, got {paths[key]!r}")
     p = Path(paths[key])
     if must_exist and not p.exists():
         raise ConfigError(f"paths.{key} does not exist: {p}")
@@ -172,6 +183,8 @@ def _corpus_windows(text: str, tokenizer: CharTokenizer, window: int) -> list[li
 
 
 def _chars_to_ids(tokenizer: CharTokenizer, chars: list[str], what: str) -> tuple[int, ...]:
+    if not isinstance(chars, list) or any(type(c) is not str or len(c) != 1 for c in chars):
+        raise ConfigError(f"{what} must be a list of single characters, got {chars!r}")
     try:
         return tuple(tokenizer.encode(c)[0] for c in chars)
     except ValueError as exc:
@@ -189,7 +202,9 @@ def cmd_pretrain(merged: dict, do_freeze: bool = True) -> int:
 
     lm_cfg = _model_config(merged, "lm", LMConfig, vocab_size=tokenizer.vocab_size)
     opt = _optim_config(merged, "pretrain", seed_offset=2, drop=("window",))
-    window = int(merged.get("pretrain", {}).get("window", min(64, lm_cfg.max_seq_len - 1)))
+    window = merged.get("pretrain", {}).get("window", min(64, lm_cfg.max_seq_len - 1))
+    if type(window) is not int:
+        raise ConfigError(f"pretrain.window must be an integer, got {window!r}")
 
     rng = np.random.default_rng(int(merged["seed"]))
     lm = init_language_model(lm_cfg, rng)
@@ -373,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(merged)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (RefusalError, FrozenModelError, CheckpointError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

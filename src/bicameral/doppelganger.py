@@ -20,9 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_named
-from .language import (AttentionModuleParams, LanguageModel, LayerTaps,
-                       _init_matrix, attention_module, forward,
-                       init_attention_module, LMConfig)
+from .language import (AttentionModuleParams, LanguageModel, LMConfig,
+                       attention_module, forward, init_attention_module, init_matrix)
 from .tensor import Tensor
 
 
@@ -70,10 +69,10 @@ def init_doppelganger(lm_config: LMConfig, config: DoppelConfig,
     d, ds = lm_config.d_model, config.d_shadow
     fusion_w = []
     for _ in range(lm_config.n_layers):
-        probe_rows = _init_matrix(rng, d, ds).data
+        probe_rows = init_matrix(rng, d, ds).data
         fusion_w.append(Tensor(np.concatenate([probe_rows, np.eye(ds)]), requires_grad=True))
-    proj = _init_matrix(rng, d, ds)
-    head = _init_matrix(rng, ds, config.n_objectives)
+    proj = init_matrix(rng, d, ds)
+    head = init_matrix(rng, ds, config.n_objectives)
     return DoppelgangerModel(
         config=config,
         lm_config=lm_config,
@@ -110,13 +109,10 @@ def load_parameters(model: DoppelgangerModel, values: dict[str, np.ndarray],
     load_named(named_parameters(model), values, prefix)
 
 
-def count_parameters(named: list[tuple[str, Tensor]]) -> int:
-    return sum(p.size for _, p in named)
-
-
-def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
+def doppel_forward(model: DoppelgangerModel, taps: list[Tensor]) -> Tensor:
     """Supervision scores, [T, n_objectives], one row per prefix (or
-    [G, T, n_objectives] for taps of a group).
+    [G, T, n_objectives] for taps of a group), from the language tower's
+    taps as ``forward`` returns them.
 
     scores[t] is the prediction for the prefix ending at position t.
     Shadow attention is causal like the language side, so position t never
@@ -126,8 +122,8 @@ def doppel_forward(model: DoppelgangerModel, taps: LayerTaps) -> Tensor:
     if len(taps) != n_modules + 1:
         raise ValueError(f"expected {n_modules + 1} taps for {n_modules} shadow "
                          f"modules, got {len(taps)}")
-    if taps.d_model != model.lm_config.d_model:
-        raise ValueError(f"tap width {taps.d_model} does not match language "
+    if taps[0].shape[-1] != model.lm_config.d_model:
+        raise ValueError(f"tap width {taps[0].shape[-1]} does not match language "
                          f"width {model.lm_config.d_model}")
 
     shadow = T.matmul(taps[0], model.input_proj)

@@ -9,7 +9,7 @@ tracking gradients, so its taps enter downstream graphs as plain values.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_named, parameter_checksum
-from .optim import OptimConfig, _pad, epochs
+from .optim import OptimConfig, epochs, pad
 from .tensor import Tensor
 
 
@@ -93,33 +93,8 @@ class LanguageModel:
     forward_calls: int = 0
 
 
-@dataclass
-class LayerTaps:
-    """Per-module probe values for one sequence or one group of them.
-
-    ``tensors[0]`` is the positionally encoded embeddings; ``tensors[k]``
-    for k >= 1 is the output of attention module k. All entries are
-    [T, d_model], or [G, T, d_model] for a group.
-    """
-
-    tensors: list[Tensor]
-    d_model: int = field(init=False)
-
-    def __post_init__(self):
-        widths = {t.shape[-1] for t in self.tensors}
-        if len(widths) != 1:
-            raise ValueError(f"mixed tap widths: {sorted(widths)}")
-        self.d_model = widths.pop()
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    def __getitem__(self, k: int) -> Tensor:
-        return self.tensors[k]
-
-
-def _init_matrix(rng: np.random.Generator | None, rows: int, cols: int,
-                 std: float = 0.02) -> Tensor:
+def init_matrix(rng: np.random.Generator | None, rows: int, cols: int,
+                std: float = 0.02) -> Tensor:
     if rng is None:
         data = np.zeros((rows, cols))
     else:
@@ -132,10 +107,10 @@ def init_attention_module(d: int, d_ff: int,
     ones = lambda n: Tensor(np.ones(n), requires_grad=True)
     zeros = lambda n: Tensor(np.zeros(n), requires_grad=True)
     return AttentionModuleParams(
-        wq=_init_matrix(rng, d, d), wk=_init_matrix(rng, d, d), wv=_init_matrix(rng, d, d),
-        wo=_init_matrix(rng, d, d),
-        w1=_init_matrix(rng, d, d_ff), b1=zeros(d_ff),
-        w2=_init_matrix(rng, d_ff, d), b2=zeros(d),
+        wq=init_matrix(rng, d, d), wk=init_matrix(rng, d, d), wv=init_matrix(rng, d, d),
+        wo=init_matrix(rng, d, d),
+        w1=init_matrix(rng, d, d_ff), b1=zeros(d_ff),
+        w2=init_matrix(rng, d_ff, d), b2=zeros(d),
         ln1_gain=ones(d), ln1_bias=zeros(d),
         ln2_gain=ones(d), ln2_bias=zeros(d),
     )
@@ -154,12 +129,12 @@ def init_language_model(config: LMConfig,
     """
     return LanguageModel(
         config=config,
-        embedding=_init_matrix(rng, config.vocab_size, config.d_model, std=1.0),
+        embedding=init_matrix(rng, config.vocab_size, config.d_model, std=1.0),
         blocks=[init_attention_module(config.d_model, config.d_ff, rng)
                 for _ in range(config.n_layers)],
         lnf_gain=Tensor(np.ones(config.d_model), requires_grad=True),
         lnf_bias=Tensor(np.zeros(config.d_model), requires_grad=True),
-        head=_init_matrix(rng, config.d_model, config.vocab_size),
+        head=init_matrix(rng, config.d_model, config.vocab_size),
     )
 
 
@@ -250,11 +225,13 @@ def _validate_ids(tokens, vocab_size: int, max_seq_len: int) -> np.ndarray:
     return ids
 
 
-def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
-    """Causal forward pass: next-token logits plus the tap stack.
+def forward(model: LanguageModel, tokens) -> tuple[Tensor, list[Tensor]]:
+    """Causal forward pass: next-token logits plus the taps.
 
     ``tokens`` is one sequence [T] or a group [G, T] of equal-length rows;
-    a group gives [G, T, ...] logits and taps. logits[t] depends only on
+    a group gives [G, T, ...] logits and taps. ``taps[0]`` is the
+    positionally encoded embeddings and ``taps[k]`` the output of
+    attention module k, each [..., T, d_model]. logits[t] depends only on
     tokens[0..t]; so do all taps at position t, so a right-padded row's
     real positions never see its padding.
     """
@@ -269,21 +246,20 @@ def forward(model: LanguageModel, tokens) -> tuple[Tensor, LayerTaps]:
         taps.append(x)
     h = T.layer_norm(x, model.lnf_gain, model.lnf_bias)
     logits = T.matmul(h, model.head)
-    return logits, LayerTaps(taps)
+    return logits, taps
 
 
-def _group_loss(model: LanguageModel, sequences: list[np.ndarray], group,
+def _group_loss(model: LanguageModel, tokens: np.ndarray, group, real: np.ndarray,
                 batch_len: int):
-    """Next-token loss of the padded group ``group`` of ``sequences`` from a
-    batch of ``batch_len``, its sequences' summed mean losses and their
-    count. Sequence i's len_i predicted positions weigh 1 / (batch_len *
-    len_i) and padding 0: the mean per sequence, then per batch."""
-    rows = [sequences[i] for i in group]
-    real = _pad([np.ones(len(r) - 1, dtype=bool) for r in rows])
+    """Next-token loss of the rows ``group`` of the padded ``tokens`` from a
+    batch of ``batch_len``, their summed mean losses and their count. Row
+    i's len_i predicted positions (``real``) weigh 1 / (batch_len * len_i)
+    and padding 0: the mean per sequence, then per batch."""
     weights = real / (batch_len * real.sum(axis=1, keepdims=True))
-    logits, _ = forward(model, _pad([r[:-1] for r in rows]))
-    loss = T.cross_entropy(logits, _pad([r[1:] for r in rows]), weights=weights)
-    return loss, loss.item() * batch_len, len(rows)
+    rows = tokens[group, :real.shape[1] + 1]
+    logits, _ = forward(model, rows[:, :-1])
+    loss = T.cross_entropy(logits, rows[:, 1:], weights=weights)
+    return loss, loss.item() * batch_len, len(group)
 
 
 def pretrain(model: LanguageModel, corpus: list, opt: OptimConfig) -> list[dict]:
@@ -301,9 +277,10 @@ def pretrain(model: LanguageModel, corpus: list, opt: OptimConfig) -> list[dict]
     if any(s.size < 2 for s in sequences):
         raise ValueError("next-token training needs sequences of length >= 2")
 
-    group_loss = partial(_group_loss, model, sequences)
+    lengths = np.array([len(s) - 1 for s in sequences])
+    group_loss = partial(_group_loss, model, pad(sequences))
     return [{"epoch": epoch, "train_loss": loss}
-            for epoch, loss in epochs(parameters(model), len(sequences), group_loss, opt)]
+            for epoch, loss in epochs(parameters(model), lengths, group_loss, opt)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,15 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        ints = ("batch_size", "epochs", "patience", "seed")
+        if any(type(getattr(self, f)) is not int for f in ints):
+            raise TypeError(f"{', '.join(ints)} must be integers")
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("invalid optimizer configuration")
 
 
-def _groups(indices) -> list:
-    return [indices[s:s + GROUP_SIZE] for s in range(0, len(indices), GROUP_SIZE)]
-
-
-def _pad(rows: list[np.ndarray]) -> np.ndarray:
-    """Stack [len_i, ...] arrays into [G, max len_i, ...], zero-padded on the right."""
+def pad(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack [len_i, ...] arrays into [N, max len_i, ...], zero-padded on the right."""
     out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:],
                    dtype=np.result_type(*rows))
     for i, r in enumerate(rows):
@@ -47,23 +46,36 @@ def _pad(rows: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def epochs(params: list[T.Tensor], n_items: int, group_loss, opt: OptimConfig):
-    """Train ``params`` on items 0..n_items-1, yielding ``(epoch, train_loss)``
-    after each epoch. Each batch of a seeded shuffle is split into groups
+def groups(indices: np.ndarray, lengths: np.ndarray):
+    """Split ``indices`` into consecutive groups of ``GROUP_SIZE``, yielding
+    each ``(group, real)``: ``real`` is the [G, span] mask of the group's
+    real positions, ``lengths[i]`` of them in row i, and ``span`` is the
+    longest such length in the group. A group's rows of a padded table are
+    ``table[group, :span]``."""
+    for start in range(0, len(indices), GROUP_SIZE):
+        group = indices[start:start + GROUP_SIZE]
+        n = lengths[group]
+        yield group, np.arange(n.max()) < n[:, None]
+
+
+def epochs(params: list[T.Tensor], lengths: np.ndarray, group_loss, opt: OptimConfig):
+    """Train ``params`` on items 0..len(lengths)-1, item i having
+    ``lengths[i]`` loss positions, yielding ``(epoch, train_loss)`` after
+    each epoch. Each batch of a seeded shuffle is split into ``groups``
     whose gradients accumulate before one Adam step. ``group_loss(group,
-    batch_len)`` returns the group's loss tensor, a sum and a count;
+    real, batch_len)`` returns the group's loss tensor, a sum and a count;
     ``train_loss`` is the epoch's sums over its counts. A non-finite loss
     or parameter raises ``NumericError``."""
     state = T.AdamState.for_params(params)
     rng = np.random.default_rng(opt.seed)
     T.zero_grads(params)
     for epoch in range(1, opt.epochs + 1):
-        order = rng.permutation(n_items)
+        order = rng.permutation(len(lengths))
         total, count = 0.0, 0
-        for start in range(0, n_items, opt.batch_size):
+        for start in range(0, len(order), opt.batch_size):
             batch = order[start:start + opt.batch_size]
-            for group in _groups(batch):
-                loss, group_total, group_count = group_loss(group, len(batch))
+            for group, real in groups(batch, lengths):
+                loss, group_total, group_count = group_loss(group, real, len(batch))
                 if not np.isfinite(loss.item()):
                     raise NumericError(f"training loss is {loss.item()} in epoch {epoch}")
                 loss.backward()

@@ -281,24 +281,21 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of the last axis to zero mean / unit variance,
     then apply the per-feature affine ``gain * xhat + bias``.
 
-    A constant row has zero variance; the eps guard maps it to zeros
-    before the affine.
+    A constant row has zero variance; the ``LAYER_NORM_EPS`` guard maps it
+    to zeros before the affine.
     """
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
                          f"do not match feature width {d}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     mu = np.mean(a.data, axis=-1, keepdims=True)
     var = np.mean((a.data - mu) ** 2, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.data - mu) * inv_std
     out = xhat * gain.data + bias.data
 
@@ -415,9 +412,9 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     return _make(out, (logits,), backward, "cross_entropy")
 
 
-def binary_cross_entropy(p: Tensor, y: Tensor, eps: float = BCE_EPS,
-                         weights=None) -> Tensor:
-    """Mean of -[y*log(p) + (1-y)*log(1-p)] with p clamped to [eps, 1-eps].
+def binary_cross_entropy(p: Tensor, y: Tensor, weights=None) -> Tensor:
+    """Mean of -[y*log(p) + (1-y)*log(1-p)] with p clamped to
+    [BCE_EPS, 1 - BCE_EPS].
 
     With ``weights``, one per position (shape ``p.shape[:-1]``), the result
     is instead the weighted sum of every entry's loss, each entry taking
@@ -427,10 +424,10 @@ def binary_cross_entropy(p: Tensor, y: Tensor, eps: float = BCE_EPS,
     p, y = _as_tensor(p), _as_tensor(y)
     if p.shape != y.shape:
         raise ShapeError(f"binary_cross_entropy shape mismatch: {p.shape} vs {y.shape}")
-    pc = np.clip(p.data, eps, 1.0 - eps)
+    pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
     terms = -(y.data * np.log(pc) + (1.0 - y.data) * np.log1p(-pc))
     out, reduce = _reduce(terms, weights, "binary_cross_entropy")
-    inside = (p.data > eps) & (p.data < 1.0 - eps)
+    inside = (p.data > BCE_EPS) & (p.data < 1.0 - BCE_EPS)
 
     def backward(g):
         if p.requires_grad:

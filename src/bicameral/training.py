@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import parameter_checksum
 from .doppelganger import BicameralModel, doppel_forward, parameters as doppel_parameters
-from .language import FrozenModelError, LayerTaps, forward, named_parameters as lm_named
-from .optim import NumericError, OptimConfig, _groups, _pad, epochs
+from .language import FrozenModelError, forward, named_parameters as lm_named
+from .optim import NumericError, OptimConfig, epochs, groups, pad
 from .tensor import Tensor
 
 
@@ -52,6 +53,8 @@ class SupervisedSequence:
 
 TASK_KINDS = ("forbidden-token", "prefix-parity", "sentiment-lexicon")
 
+CALIBRATION_BUCKETS = 10  # equal-width score buckets in evaluate's table
+
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
@@ -76,9 +79,11 @@ class SyntheticTaskSpec:
     positive_ids: tuple[int, ...] = ()
     negative_ids: tuple[int, ...] = ()
     corpus_tokens: tuple[int, ...] | None = None
-    balance: float = 0.5
 
     def __post_init__(self):
+        ints = ("vocab_size", "n_sequences", "min_len", "max_len", "seed")
+        if any(type(getattr(self, f)) is not int for f in ints):
+            raise TypeError(f"{', '.join(ints)} must be integers")
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
         if self.n_sequences < 1:
@@ -134,7 +139,7 @@ def _draw_tokens(spec: SyntheticTaskSpec, rng: np.random.Generator) -> list[int]
         # keep both label classes present: half the sequences are scrubbed
         # clean, the rest get at least one forbidden token at a random spot
         forbidden = np.asarray(sorted(spec.forbidden_ids))
-        if rng.uniform() < spec.balance:
+        if rng.uniform() < 0.5:
             clean = np.setdiff1d(np.arange(spec.vocab_size), forbidden)
             tokens = clean[rng.integers(0, len(clean), size=length)]
         elif not np.isin(tokens, forbidden).any():
@@ -182,28 +187,33 @@ def load_dataset(path: str | Path) -> list[SupervisedSequence]:
     return data
 
 
-def _cached_taps(bm: BicameralModel, data: list[SupervisedSequence]):
-    # the language tower is frozen, so taps per sequence are constants and
-    # one padded pass per group serves every epoch; padding sits after each
-    # real row, where the causal mask keeps it out of every real position
-    taps = []
-    for group in _groups(data):
-        _, group_taps = forward(bm.language, _pad([np.asarray(s.tokens) for s in group]))
-        for i, seq in enumerate(group):
-            taps.append([t.data[i, :len(seq.tokens)] for t in group_taps])
-    return taps
+def _padded(bm: BicameralModel, data: list[SupervisedSequence], name: str):
+    """The padded table of the ``name`` dataset ``data``: the frozen tower's
+    taps, one [N, T_max, d_model] array per tap, the labels [N, T_max, n]
+    and the lengths [N].
+
+    The tower is frozen, so one pass per group of rows, in data order,
+    serves every epoch; a row's padding sits after its real positions,
+    where causal attention keeps it out of them.
+    """
+    _check_labels(data, bm.doppel.config.n_objectives, name)
+    cfg = bm.language.config
+    lengths = np.array([len(s.tokens) for s in data])
+    tokens = pad([np.asarray(s.tokens) for s in data])
+    taps = [np.zeros(tokens.shape + (cfg.d_model,)) for _ in range(cfg.n_layers + 1)]
+    for group, real in groups(np.arange(len(data)), lengths):
+        span = real.shape[1]
+        _, group_taps = forward(bm.language, tokens[group, :span])
+        for table, tap in zip(taps, group_taps):
+            table[group, :span] = tap.data
+    return taps, pad([s.labels for s in data]), lengths
 
 
-def _group_forward(model, taps, data, group):
-    """Shadow scores [G, T, n] for the right-padded group of sequences
-    ``group`` (indices into ``data``), with the padded labels and the
-    [G, T] mask of real positions."""
-    n_taps = len(taps[group[0]])
-    group_taps = LayerTaps([Tensor(_pad([taps[i][k] for i in group]))
-                            for k in range(n_taps)])
-    labels = _pad([data[i].labels for i in group])
-    real = _pad([np.ones(len(data[i].tokens), dtype=bool) for i in group])
-    return doppel_forward(model, group_taps), labels, real
+def _group_forward(model, taps, labels, group, real):
+    """Shadow scores [G, span, n] of the rows ``group`` of a padded table,
+    with their labels."""
+    span = real.shape[1]
+    return doppel_forward(model, [Tensor(t[group, :span]) for t in taps]), labels[group, :span]
 
 
 def _check_labels(data: list[SupervisedSequence], n_objectives: int, name: str):
@@ -215,16 +225,16 @@ def _check_labels(data: list[SupervisedSequence], n_objectives: int, name: str):
                              f"model predicts {n_objectives}")
 
 
-def _real_scores(model, taps, data) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and labels at every real position, [positions, n], from one
-    gradient-free shadow pass per group."""
-    scores, labels = [], []
+def _real_scores(model, taps, labels, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels at every real position of a padded table,
+    [positions, n], from one gradient-free shadow pass per group."""
+    scores, real_labels = [], []
     with T.no_grad():
-        for group in _groups(range(len(data))):
-            s, y, real = _group_forward(model, taps, data, group)
+        for group, real in groups(np.arange(len(lengths)), lengths):
+            s, y = _group_forward(model, taps, labels, group, real)
             scores.append(s.data[real])
-            labels.append(y[real])
-    return np.concatenate(scores), np.concatenate(labels)
+            real_labels.append(y[real])
+    return np.concatenate(scores), np.concatenate(real_labels)
 
 
 def _mean_bce(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -236,20 +246,21 @@ def _loss_and_metrics(scores: np.ndarray, labels: np.ndarray):
     return _mean_bce(scores, labels), accuracy.tolist()
 
 
-def _group_loss(model, taps, data, group, batch_len: int):
-    """Training loss of one padded group from an optimizer batch of
-    ``batch_len`` sequences, plus the scores and labels at its real
-    positions.
+def _group_loss(model, taps, labels, group, real, batch_len: int):
+    """Training loss of the rows ``group`` of a padded table from an
+    optimizer batch of ``batch_len`` sequences, with the summed BCE of
+    their real positions and the count of those positions.
 
     Position t of sequence i weighs 1 / (batch_len * len_i * n_objectives)
     and padding weighs 0, so the losses of a batch's groups sum to the
     mean over each sequence's entries, then over the batch.
     """
-    scores, labels, real = _group_forward(model, taps, data, group)
+    scores, labels = _group_forward(model, taps, labels, group, real)
     lengths = real.sum(axis=1, keepdims=True)
     weights = real / (batch_len * lengths * labels.shape[-1])
     loss = T.binary_cross_entropy(scores, Tensor(labels), weights=weights)
-    return loss, scores.data[real], labels[real]
+    count = int(lengths.sum())
+    return loss, count * _mean_bce(scores.data[real], labels[real]), count
 
 
 def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
@@ -264,29 +275,22 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
     if not bm.language.frozen:
         raise FrozenModelError("the language component must be frozen before "
                                "training the shadow tower")
-    n = bm.doppel.config.n_objectives
-    _check_labels(train, n, "train")
-    _check_labels(val, n, "val")
-
     checksum_before = parameter_checksum(lm_named(bm.language))
     params = doppel_parameters(bm.doppel)
 
-    train_taps = _cached_taps(bm, train)
-    val_taps = _cached_taps(bm, val)
+    train_taps, train_labels, train_lengths = _padded(bm, train, "train")
+    val_table = _padded(bm, val, "val")
 
-    base_train = _mean_bce(*_real_scores(bm.doppel, train_taps, train))
-    base_val, base_acc = _loss_and_metrics(*_real_scores(bm.doppel, val_taps, val))
+    base_train = _mean_bce(*_real_scores(bm.doppel, train_taps, train_labels, train_lengths))
+    base_val, base_acc = _loss_and_metrics(*_real_scores(bm.doppel, *val_table))
     log = [{"epoch": 0, "train_loss": base_train, "val_loss": base_val, "val_acc": base_acc}]
 
-    def group_loss(group, batch_len):
-        loss, scores, labels = _group_loss(bm.doppel, train_taps, train, group, batch_len)
-        return loss, len(scores) * _mean_bce(scores, labels), len(scores)
-
+    group_loss = partial(_group_loss, bm.doppel, train_taps, train_labels)
     best_val = base_val
     best_params = [p.data.copy() for p in params]
     since_best = 0
-    for epoch, train_loss in epochs(params, len(train), group_loss, opt):
-        val_loss, val_acc = _loss_and_metrics(*_real_scores(bm.doppel, val_taps, val))
+    for epoch, train_loss in epochs(params, train_lengths, group_loss, opt):
+        val_loss, val_acc = _loss_and_metrics(*_real_scores(bm.doppel, *val_table))
         if not np.isfinite(val_loss):
             raise NumericError(f"validation loss is {val_loss} in epoch {epoch}")
         log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
@@ -307,22 +311,19 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
     return log
 
 
-def evaluate(bm: BicameralModel, data: list[SupervisedSequence],
-             n_buckets: int = 10) -> dict:
+def evaluate(bm: BicameralModel, data: list[SupervisedSequence]) -> dict:
     """Pure evaluation: per-objective accuracy, mean BCE, and calibration
     buckets of predicted score vs mean label."""
-    n = bm.doppel.config.n_objectives
-    _check_labels(data, n, "eval")
-    scores, labels = _real_scores(bm.doppel, _cached_taps(bm, data), data)
+    scores, labels = _real_scores(bm.doppel, *_padded(bm, data, "eval"))
     bce, acc = _loss_and_metrics(scores, labels)
 
-    edges = np.linspace(0.0, 1.0, n_buckets + 1)
-    idx = np.clip(np.digitize(scores, edges) - 1, 0, n_buckets - 1).ravel()
-    counts = np.bincount(idx, minlength=n_buckets)
-    pred_sum = np.bincount(idx, weights=scores.ravel(), minlength=n_buckets)
-    label_sum = np.bincount(idx, weights=labels.ravel(), minlength=n_buckets)
+    edges = np.linspace(0.0, 1.0, CALIBRATION_BUCKETS + 1)
+    idx = np.clip(np.digitize(scores, edges) - 1, 0, CALIBRATION_BUCKETS - 1).ravel()
+    counts = np.bincount(idx, minlength=CALIBRATION_BUCKETS)
+    pred_sum = np.bincount(idx, weights=scores.ravel(), minlength=CALIBRATION_BUCKETS)
+    label_sum = np.bincount(idx, weights=labels.ravel(), minlength=CALIBRATION_BUCKETS)
     calibration = []
-    for b in range(n_buckets):
+    for b in range(CALIBRATION_BUCKETS):
         calibration.append({
             "bucket": [float(edges[b]), float(edges[b + 1])],
             "count": int(counts[b]),

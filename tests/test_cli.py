@@ -52,6 +52,21 @@ def write_workspace(root, seed=5, lm=None, doppel=None, corpus_reps=30,
     return config
 
 
+def edit_config(config, key_path, value):
+    node = config
+    for key in key_path[:-1]:
+        node = node[key]
+    node[key_path[-1]] = value
+
+
+def key_paths(node, prefix=()):
+    """Every key path into a JSON value, through objects and lists."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
 def run(args, monkeypatch, where):
     monkeypatch.chdir(where)
     return main(args)
@@ -135,6 +150,34 @@ class TestExitCodes:
     def test_malformed_json(self, tmp_path, monkeypatch):
         (tmp_path / "bad.json").write_text("{nope", encoding="utf-8")
         assert run(["--config", "bad.json", "gradcheck"], monkeypatch, tmp_path) == 2
+
+    LEMMA = ["lemma-demo", "--instances", "1"]
+
+    @pytest.mark.parametrize("key_path, value, command", [
+        ((), [1, 2], ["--seed", "3", *LEMMA]),
+        (("paths", "alphabet"), 3, ["make-data"]),
+        (("paths", "alphabet"), None, ["make-data"]),
+        (("paths", "report"), 5, LEMMA),
+        (("pretrain",), [], ["pretrain"]),
+        (("task", "forbidden_chars"), [1], ["make-data"]),
+        (("task", "forbidden_chars"), [""], ["make-data"]),
+        (("pretrain", "epochs"), 1.5, ["pretrain"]),
+        (("pretrain", "batch_size"), 2.5, ["pretrain"]),
+        (("pretrain", "window"), 2.5, ["pretrain"]),
+        (("task", "n_sequences"), 3.5, ["make-data"]),
+        (("seed",), 1.5, LEMMA),
+    ])
+    def test_malformed_run_config_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                    key_path, value, command):
+        config = write_workspace(tmp_path)
+        if key_path:
+            edit_config(config, key_path, value)
+        else:
+            config = value
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["--config", "run.json", *command], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
 
     def test_train_doppel_refuses_unfrozen_checkpoint(self, tmp_path, monkeypatch,
                                                       capsys):
@@ -386,6 +429,18 @@ class TestFuzz:
                                      "train-doppel"]))
         finally:
             path.write_text(original)
+
+    @FUZZ
+    @given(which=st.integers(0, 2**10),
+           value=st.sampled_from([[1], {"k": 1}, "x", 1.5, None, -3, 10**30, ""]))
+    def test_run_config_edits(self, fuzz_workspace, which, value):
+        config = json.loads((fuzz_workspace / "fuzz.json").read_text())
+        paths = list(key_paths(config))
+        edit_config(config, paths[which % len(paths)], value)
+        edited = fuzz_workspace / "edited.json"
+        edited.write_text(json.dumps(config), encoding="utf-8")
+        self.check(*run_quietly(["--config", str(edited), "generate", "--prompt", "ab",
+                                 "--max-new", "1"]))
 
 
 class TestLemmaDemo:

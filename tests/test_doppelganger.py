@@ -3,8 +3,7 @@ import pytest
 from reference import ref_doppel
 
 from bicameral.doppelganger import (BicameralModel, DoppelConfig, bicameral_forward,
-                                    count_parameters, doppel_forward,
-                                    init_doppelganger, score_prefixes)
+                                    doppel_forward, init_doppelganger, score_prefixes)
 from bicameral.doppelganger import named_parameters as doppel_named
 from bicameral.language import LMConfig, forward, freeze, init_language_model
 from bicameral.language import named_parameters as lm_named
@@ -129,14 +128,14 @@ class TestHandComputation:
 
         _, taps = forward(lm, [0, 2])
         got = doppel_forward(dm, taps).data
-        want = ref_doppel(dm, [t.data for t in taps.tensors])
+        want = ref_doppel(dm, [t.data for t in taps])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_deep_random_shadow_matches_reference(self):
         bm = make_pair(seed=11)
         _, taps = forward(bm.language, [1, 4, 2, 0, 5])
         got = doppel_forward(bm.doppel, taps).data
-        want = ref_doppel(bm.doppel, [t.data for t in taps.tensors])
+        want = ref_doppel(bm.doppel, [t.data for t in taps])
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -153,8 +152,8 @@ class TestFrozenSeparation:
     def test_taps_from_frozen_tower_track_no_graph(self):
         bm = make_pair(seed=10)
         _, taps = forward(bm.language, [0, 1])
-        assert all(not t.requires_grad for t in taps.tensors)
-        assert all(t._parents == () for t in taps.tensors)
+        assert all(not t.requires_grad for t in taps)
+        assert all(t._parents == () for t in taps)
 
 
 class TestConcurrency:
@@ -174,4 +173,5 @@ class TestFootprint:
         rng = np.random.default_rng(0)
         lm = init_language_model(lm_cfg, rng)
         dm = init_doppelganger(lm_cfg, d_cfg, rng)
-        assert count_parameters(doppel_named(dm)) < count_parameters(lm_named(lm))
+        count = lambda named: sum(p.size for _, p in named)
+        assert count(doppel_named(dm)) < count(lm_named(lm))

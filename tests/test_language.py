@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import ref_block, ref_forward
 
-from bicameral import language
+from bicameral import language, optim
 from bicameral.checkpoint import parameter_checksum
 from bicameral.language import (CharTokenizer, FrozenModelError, LMConfig,
                                 SequenceError, attention_module,
@@ -72,12 +72,12 @@ class TestForward:
         logits, taps = forward(model, [3])
         assert logits.shape == (1, 5)
         assert len(taps) == model.config.n_layers + 1
-        assert all(t.shape == (1, 8) for t in taps.tensors)
+        assert all(t.shape == (1, 8) for t in taps)
 
     def test_tap_shapes_at_any_length(self):
         model = init_language_model(tiny_config(), np.random.default_rng(0))
         _, taps = forward(model, [0, 1, 2, 3, 4, 0])
-        assert all(t.shape == (6, 8) for t in taps.tensors)
+        assert all(t.shape == (6, 8) for t in taps)
 
     def test_causality_by_mutation(self):
         # changing any suffix leaves every earlier position bitwise intact
@@ -90,7 +90,7 @@ class TestForward:
             mutated[cut:] = (mutated[cut:] + 1) % 5
             m_logits, m_taps = forward(model, mutated)
             assert np.array_equal(logits.data[:cut], m_logits.data[:cut])
-            for a, b in zip(taps.tensors, m_taps.tensors):
+            for a, b in zip(taps, m_taps):
                 assert np.array_equal(a.data[:cut], b.data[:cut])
 
     def test_one_layer_forward_matches_hand_computation(self):
@@ -114,7 +114,7 @@ class TestForward:
         logits, taps = forward(model, [0, 2])
         ref_logits, ref_taps = ref_forward(model, [0, 2])
         np.testing.assert_allclose(logits.data, ref_logits, rtol=1e-12)
-        for got, want in zip(taps.tensors, ref_taps):
+        for got, want in zip(taps, ref_taps):
             np.testing.assert_allclose(got.data, want, rtol=1e-12)
 
     def test_deep_forward_matches_reference(self):
@@ -230,8 +230,10 @@ class TestPretrain:
         ref_grads = [p.grad / batch_len for p in params]
 
         zero_grads(params)
-        loss, total, count = language._group_loss(model, sequences,
-                                                   list(range(len(sequences))), batch_len)
+        lengths = np.array([len(seq) - 1 for seq in sequences])
+        [(group, real)] = optim.groups(np.arange(len(sequences)), lengths)
+        loss, total, count = language._group_loss(model, optim.pad(sequences), group, real,
+                                                   batch_len)
         loss.backward()
         assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
         assert total == pytest.approx(ref_sum, rel=1e-12) and count == len(sequences)
@@ -256,7 +258,7 @@ class TestFreeze:
         assert all(not p.requires_grad for _, p in named_parameters(model))
         logits, taps = forward(model, [0, 1])
         assert not logits.requires_grad
-        assert all(not t.requires_grad for t in taps.tensors)
+        assert all(not t.requires_grad for t in taps)
 
 
 class TestTokenizer:

@@ -216,35 +216,73 @@ class TestPaddedGroups:
 
         # reference: the per-sequence loop, one graph per sequence
         T.zero_grads(params)
-        ref_loss = 0.0
+        ref_loss, ref_total = 0.0, 0.0
         for seq in data:
             scores = score_prefixes(bm, seq.tokens)
             loss = T.binary_cross_entropy(scores, T.Tensor(seq.labels))
             ref_loss += loss.item() / batch_len
+            ref_total += len(seq.tokens) * loss.item()
             loss.backward()
         ref_grads = [p.grad / batch_len for p in params]
 
         T.zero_grads(params)
-        taps = training._cached_taps(bm, data)
-        loss, scores, labels = training._group_loss(bm.doppel, taps, data,
-                                                    list(range(len(data))), batch_len)
+        taps, labels, lengths = training._padded(bm, data, "test")
+        [(group, real)] = optim.groups(np.arange(len(data)), lengths)
+        loss, total, count = training._group_loss(bm.doppel, taps, labels, group, real,
+                                                  batch_len)
         loss.backward()
         assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
         for p, ref in zip(params, ref_grads):
             np.testing.assert_allclose(p.grad, ref, rtol=1e-12)
-        assert len(scores) == len(labels) == sum(len(s.tokens) for s in data)
+        assert count == sum(len(s.tokens) for s in data)
+        assert total == pytest.approx(ref_total, rel=1e-12)
 
     def test_real_rows_match_each_sequence_alone(self):
         bm, data = self.group_of_unequal_lengths()
-        taps = training._cached_taps(bm, data)
-        scores, _, real = training._group_forward(bm.doppel, taps, data,
-                                                  list(range(len(data))))
+        taps, labels, lengths = training._padded(bm, data, "test")
+        [(group, real)] = optim.groups(np.arange(len(data)), lengths)
+        scores, _ = training._group_forward(bm.doppel, taps, labels, group, real)
         assert scores.shape[:2] == real.shape == (len(data), 11)
         for i, seq in enumerate(data):
             alone = score_prefixes(bm, seq.tokens).data
             assert real[i].sum() == len(seq.tokens)
             np.testing.assert_allclose(scores.data[i, :len(seq.tokens)], alone,
                                        rtol=0.0, atol=1e-12)
+
+    def test_rows_from_different_tap_passes_match_each_sequence_alone(self):
+        # taps are filled by language passes over rows 0-3 and 4-7; a
+        # training group mixes them and drops row 6's span of 13
+        bm = make_bicameral(n_objectives=2, seed=18)
+        rng = np.random.default_rng(19)
+        data = [SupervisedSequence(tokens=rng.integers(0, 8, size=n).tolist(),
+                                   labels=rng.uniform(size=(n, 2)))
+                for n in (4, 9, 2, 6, 3, 7, 13, 5)]
+        taps, labels, lengths = training._padded(bm, data, "test")
+        [(group, real)] = optim.groups(np.array([0, 5, 2, 7]), lengths)
+        scores, y = training._group_forward(bm.doppel, taps, labels, group, real)
+        assert scores.shape[:2] == real.shape == (4, 7)
+        for row, i in enumerate(group):
+            n = len(data[i].tokens)
+            assert real[row].sum() == n
+            np.testing.assert_array_equal(y[row, :n], data[i].labels)
+            np.testing.assert_allclose(scores.data[row, :n],
+                                       score_prefixes(bm, data[i].tokens).data,
+                                       rtol=0.0, atol=1e-12)
+
+
+class TestGroups:
+    def test_order_spans_masks_and_short_last_group(self):
+        assert optim.GROUP_SIZE == 4
+        lengths = np.array([2, 5, 1, 3, 4, 1, 2])
+        out = list(optim.groups(np.array([6, 1, 4, 0, 3, 5]), lengths))
+        assert [group.tolist() for group, _ in out] == [[6, 1, 4, 0], [3, 5]]
+        np.testing.assert_array_equal(out[0][1], [[1, 1, 0, 0, 0],
+                                                  [1, 1, 1, 1, 1],
+                                                  [1, 1, 1, 1, 0],
+                                                  [1, 1, 0, 0, 0]])
+        np.testing.assert_array_equal(out[1][1], [[1, 1, 1],
+                                                  [1, 0, 0]])
+        assert all(real.dtype == bool for _, real in out)
 
 
 class TestEvaluate:
