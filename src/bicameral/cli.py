@@ -394,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SequenceError, ValueError) as exc:
+    except (SequenceError, ValueError, OSError) as exc:  # OSError: say, a missing directory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

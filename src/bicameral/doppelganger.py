@@ -34,8 +34,8 @@ class DoppelConfig:
 
     def __post_init__(self):
         for name in ("d_shadow", "n_objectives", "n_heads_shadow", "d_ff_shadow"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"DoppelConfig.{name} must be >= 1")
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"DoppelConfig.{name} must be an integer >= 1")
         if self.d_shadow % self.n_heads_shadow != 0:
             raise ValueError(f"d_shadow={self.d_shadow} is not divisible by "
                              f"n_heads_shadow={self.n_heads_shadow}")

@@ -30,6 +30,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.k) is not int or type(self.seed) is not int:
+            raise TypeError("SamplerConfig.k and seed must be integers")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.temperature <= 0.0:

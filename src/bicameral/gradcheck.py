@@ -183,6 +183,10 @@ def run_op_battery(seed: int = 0, rtol: float = 1e-4) -> list[GradCheckResult]:
     results.append(probed(
         "causal_attention (pads)", lambda: T.causal_attention(q, k, v, 2), [q, k, v],
         weights=np.array([[1.0, 0.5, 0.25, 0.125], [1.0, 0.5, 0.0, 0.0]])))
+    # 40 rows: two query blocks of causal_attention, the second reading both
+    qb, kb, vb = t(40, 4), t(40, 4), t(40, 4)
+    results.append(probed("causal_attention (2 blocks)",
+                          lambda: T.causal_attention(qb, kb, vb, 2), [qb, kb, vb]))
 
     return results
 

@@ -10,7 +10,7 @@ tracking gradients, so its taps enter downstream graphs as plain values.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ class LMConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"LMConfig.{name} must be >= 1")
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"LMConfig.{name} must be an integer >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} is not divisible by "
                              f"n_heads={self.n_heads}")
@@ -178,11 +178,14 @@ def positional_encode(embeddings: Tensor, max_seq_len: int) -> Tensor:
     t, d = embeddings.shape[-2:]
     if t > max_seq_len:
         raise SequenceError(f"sequence of length {t} exceeds max_seq_len={max_seq_len}")
-    pe = sinusoid_table(t, d)
+    pe = sinusoid_table(max_seq_len, d)[:t]
     return T.add(embeddings, Tensor(np.broadcast_to(pe, embeddings.shape)))
 
 
+@lru_cache(maxsize=None)
 def sinusoid_table(t: int, d: int) -> np.ndarray:
+    """The [t, d] table, cached and read-only. Its first n rows equal
+    ``sinusoid_table(n, d)`` bitwise, so one table serves every length."""
     pos = np.arange(t, dtype=np.float64)[:, None]
     pe = np.zeros((t, d))
     half = (d + 1) // 2
@@ -190,6 +193,7 @@ def sinusoid_table(t: int, d: int) -> np.ndarray:
     angles = pos / div[None, :]
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : d // 2])
+    pe.flags.writeable = False
     return pe
 
 

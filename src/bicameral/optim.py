@@ -15,7 +15,7 @@ GROUP_SIZE = 4
 
 
 class NumericError(ArithmeticError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite loss, gradient or parameter."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ def epochs(params: list[T.Tensor], lengths: np.ndarray, group_loss, opt: OptimCo
     each epoch. Each batch of a seeded shuffle is split into ``groups``
     whose gradients accumulate before one Adam step. ``group_loss(group,
     real, batch_len)`` returns the group's loss tensor, a sum and a count;
-    ``train_loss`` is the epoch's sums over its counts. A non-finite loss
-    or parameter raises ``NumericError``."""
+    ``train_loss`` is the epoch's sums over its counts. A non-finite loss,
+    summed gradient (checked before the step) or parameter raises ``NumericError``."""
     state = T.AdamState.for_params(params)
     rng = np.random.default_rng(opt.seed)
     T.zero_grads(params)
@@ -80,6 +80,8 @@ def epochs(params: list[T.Tensor], lengths: np.ndarray, group_loss, opt: OptimCo
                     raise NumericError(f"training loss is {loss.item()} in epoch {epoch}")
                 loss.backward()
                 total, count = total + group_total, count + group_count
+            if not all(p.grad is None or np.isfinite(p.grad).all() for p in params):
+                raise NumericError(f"a non-finite gradient in epoch {epoch}")
             T.adam_step(params, [p.grad for p in params], state,
                         lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
             T.zero_grads(params)

@@ -5,10 +5,13 @@ every forward pass. Broadcasting is deliberately narrow: adding a vector
 to every row, and leading axes on ``matmul`` (a group of sequences) with
 one shared right operand. ``causal_attention`` splits and merges the
 heads of an attention module inside the op, on numpy views, so no head
-axis ever reaches the graph. The op set covers exactly what the two
-transformer towers need: ``add``, ``matmul``, ``concat_last``,
-``embedding_lookup``, ``gelu``, ``sigmoid``, ``layer_norm``,
-``causal_attention``, ``cross_entropy`` and ``binary_cross_entropy``.
+axis ever reaches the graph. It takes query rows in blocks that score
+only the keys up to the block's end, never hands ``exp`` a -inf, and
+keeps its [..., H, T, T] weights only when it builds a graph. The op set
+covers exactly what the two transformer towers need: ``add``,
+``matmul``, ``concat_last``, ``embedding_lookup``, ``gelu``,
+``sigmoid``, ``layer_norm``, ``causal_attention``, ``cross_entropy``
+and ``binary_cross_entropy``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from scipy.special import erf
 
 BCE_EPS = 1e-7
 LAYER_NORM_EPS = 1e-5
+ATTENTION_BLOCK = 32  # query rows per block of causal_attention; 64 times alike
+_ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
+_ABOVE_DIAGONAL.flags.writeable = False
 
 _SQRT_2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -147,8 +153,13 @@ def _scalar_err(t: Tensor):
     raise ShapeError(f"expected a scalar tensor, got shape {t.shape}")
 
 
+def _builds_graph(parents: tuple[Tensor, ...]) -> bool:
+    """Grad mode is on and an input requires grad: the op records a node."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if _builds_graph(parents):
         return Tensor(data, True, _parents=parents, _backward=backward, _op=op)
     return Tensor(data)
 
@@ -252,7 +263,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5*x*(1 + erf(x/sqrt(2)))."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data / _SQRT_2))
+    cdf = erf(a.data / _SQRT_2)
+    cdf += 1.0
+    cdf *= 0.5
     out = a.data * cdf
 
     def backward(g):
@@ -293,18 +306,20 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
                          f"do not match feature width {d}")
-    mu = np.mean(a.data, axis=-1, keepdims=True)
-    var = np.mean((a.data - mu) ** 2, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (a.data - mu) * inv_std
-    out = xhat * gain.data + bias.data
+    # row means as sum / d: the same values as np.mean, without its overhead
+    xhat = a.data - np.sum(a.data, axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(np.sum(xhat * xhat, axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         gh = g * gain.data
         if a.requires_grad:
-            term = gh - np.mean(gh, axis=-1, keepdims=True) \
-                - xhat * np.mean(gh * xhat, axis=-1, keepdims=True)
-            _accumulate(a, inv_std * term)
+            term = gh - np.sum(gh, axis=-1, keepdims=True) / d
+            term -= xhat * (np.sum(gh * xhat, axis=-1, keepdims=True) / d)
+            term *= inv_std
+            _accumulate(a, term)
         lead = tuple(range(a.ndim - 1))
         _accumulate(gain, np.sum(g * xhat, axis=lead))
         _accumulate(bias, np.sum(g, axis=lead))
@@ -323,8 +338,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     The heads are split and merged on numpy views, and q is scaled by
     1/sqrt(dh). Position i attends to positions 0..i only: later keys get
     exactly zero weight, so row i of the result does not depend on later
-    rows of k or v. The softmax is max-subtracted, in place. Backward
-    reuses the forward's weights P: dS = P * (dP - rowsum(dP * P)).
+    rows of k or v. Query rows go in blocks of ``ATTENTION_BLOCK``: block
+    [r0, r1) scores keys [0, r1) only and masks its diagonal sub-block,
+    -inf for the max-subtracted softmax's row max, then 0 for ``exp``
+    (slow on -inf) and exactly 0 after it. The full [..., H, T, T] weights
+    P are kept only when the op builds a graph, for backward:
+    dS = P * (dP - rowsum(dP * P)).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or not q.shape == k.shape == v.shape or q.shape[-1] % n_heads:
@@ -342,12 +361,23 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         return a.swapaxes(-3, -2).reshape(q.shape)
 
     qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
-    p = qh @ kh.swapaxes(-1, -2)
-    np.copyto(p, -np.inf, where=np.triu(np.ones((t, t), dtype=bool), k=1))
-    p -= np.max(p, axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= np.sum(p, axis=-1, keepdims=True)
-    out = merge(p @ vh)
+    graph = _builds_graph((q, k, v))
+    p = np.zeros((*lead, n_heads, t, t)) if graph else None
+    out = np.empty(q.shape)
+    out_h = split(out)
+    for r0 in range(0, t, ATTENTION_BLOCK):
+        r1 = min(r0 + ATTENTION_BLOCK, t)
+        s = qh[..., r0:r1, :] @ kh[..., :r1, :].swapaxes(-1, -2)
+        diag, masked = s[..., r0:], _ABOVE_DIAGONAL[:r1 - r0, :r1 - r0]
+        np.copyto(diag, -np.inf, where=masked)
+        s -= np.max(s, axis=-1, keepdims=True)
+        np.copyto(diag, 0.0, where=masked)
+        np.exp(s, out=s)
+        np.copyto(diag, 0.0, where=masked)
+        s /= np.sum(s, axis=-1, keepdims=True)
+        out_h[..., r0:r1, :] = s @ vh[..., :r1, :]
+        if graph:
+            p[..., r0:r1, :r1] = s
 
     def backward(g):
         gh = split(g)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bicameral
+from bicameral import tensor as T
 from bicameral.checkpoint import load_checkpoint, save_checkpoint
 from bicameral.cli import main
 
@@ -338,6 +339,29 @@ class TestExitCodes:
         assert not (tmp_path / "model.ckpt").exists()
         assert not (tmp_path / "log.jsonl").exists()
 
+    def test_pretrain_non_finite_gradient_is_a_numeric_failure(self, tmp_path,
+                                                               monkeypatch, capsys):
+        from bicameral import language
+
+        original = language._group_loss
+
+        def poisoned(model, *args):
+            # the loss stays finite; its graph hands the head an infinite gradient
+            loss, total, count = original(model, *args)
+            head = model.head
+            spike = T.Tensor(0.0, True, _parents=(head,), _backward=lambda g: setattr(
+                head, "grad", np.full(head.shape, np.inf)))
+            return T.add(loss, spike), total, count
+
+        monkeypatch.setattr(language, "_group_loss", poisoned)
+        write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,
+                                          d_ff=32), epochs=1)
+        assert run(["--config", "run.json", "pretrain"], monkeypatch, tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "gradient" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_train_doppel_non_finite_is_a_numeric_failure(self, tmp_path, monkeypatch,
                                                           capsys, recwarn):
         config = write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1,
@@ -357,6 +381,65 @@ class TestExitCodes:
         assert "Traceback" not in err and not recwarn.list
         assert (tmp_path / "model.ckpt").read_bytes() == checkpoint
         assert (tmp_path / "log.jsonl").read_bytes() == log
+
+    @pytest.mark.parametrize("key, command", [
+        ("checkpoint_out", ["pretrain"]),
+        ("log", ["pretrain"]),
+        ("dataset_train", ["make-data"]),
+        (None, [*LEMMA, "--report", "nodir/out"]),
+    ])
+    def test_unwritable_artifact_path_is_a_config_error(self, tmp_path, monkeypatch,
+                                                        capsys, key, command):
+        config = write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1,
+                                                   n_heads=2, d_ff=32), epochs=1)
+        if key:
+            config["paths"][key] = "nodir/out"
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["--config", "run.json", *command], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "nodir/out" in err
+
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("lm", "d_ff", 8.5, "pretrain"),
+        ("lm", "n_layers", True, "pretrain"),
+        ("doppel", "d_shadow", 8.0, "train-doppel"),
+        ("sampler", "k", 2.0, "generate"),
+        ("sampler", "seed", 1.5, "generate"),
+    ])
+    def test_non_integer_model_field_is_a_config_error(self, tmp_path, monkeypatch,
+                                                       capsys, section, key, value,
+                                                       command):
+        config = write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1,
+                                                   n_heads=2, d_ff=32),
+                                 doppel=dict(TOY_DOPPEL, d_shadow=8, n_heads_shadow=2,
+                                             d_ff_shadow=16), n_sequences=16, epochs=1)
+        setup = {"pretrain": [], "train-doppel": ["pretrain", "make-data"],
+                 "generate": ["pretrain", "make-data", "train-doppel"]}[command]
+        for step in setup:
+            assert run(["--config", "run.json", step], monkeypatch, tmp_path) == 0
+        config[section][key] = value
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        args = ["--prompt", "ab", "--max-new", "1"] if command == "generate" else []
+        assert run(["--config", "run.json", command, *args], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+
+    @pytest.mark.parametrize("section, key", [("lm", "d_ff"), ("doppel", "d_shadow")])
+    def test_float_in_checkpoint_config_is_a_refusal(self, tmp_path, monkeypatch, capsys,
+                                                     section, key):
+        trained_workspace(tmp_path, monkeypatch)
+        ckpt = load_checkpoint(tmp_path / "model.ckpt")
+        ckpt.config[section][key] = float(ckpt.config[section][key])
+        save_checkpoint(tmp_path / "model.ckpt", ckpt.config, list(ckpt.params.items()))
+        capsys.readouterr()
+        assert run(["--config", "run.json", "generate", "--prompt", "a"],
+                   monkeypatch, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and err.count("\n") == 1
+        assert key in err
 
     def test_prompt_with_unknown_character(self, tmp_path, monkeypatch):
         write_workspace(tmp_path, lm=dict(TOY_LM, d_model=16, n_layers=1, n_heads=2,

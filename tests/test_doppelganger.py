@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from reference import ref_doppel
@@ -163,6 +166,36 @@ class TestConcurrency:
         logits, scores = bicameral_forward(bm, [0, 1, 2, 3])
         assert bm.language.forward_calls == before + 1
         assert logits.shape == (4, 6) and scores.shape == (4, 2)
+
+
+    def test_concurrent_scoring_on_a_shared_model_matches_serial(self):
+        # an unused max_seq_len, so the threads race to build the position
+        # table; lengths cross attention block boundaries
+        bm = make_pair(lm_kw=dict(max_seq_len=123), seed=13)
+        rng = np.random.default_rng(14)
+        seqs = [rng.integers(0, 6, size=n) for n in (5, 32, 33, 70, 123)]
+        results, errors = {}, []
+
+        def worker(w):
+            try:
+                for i in np.random.default_rng(w).permutation(len(seqs)):
+                    results[w, int(i)] = score_prefixes(bm, seqs[i]).data.tobytes()
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and not errors
+        serial = [score_prefixes(bm, s).data.tobytes() for s in seqs]
+        assert results == {(w, i): serial[i] for w in range(4) for i in range(len(seqs))}
 
 
 class TestFootprint:

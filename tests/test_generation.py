@@ -102,6 +102,20 @@ class TestGenerate:
             recomputed = score_prefixes(bm, tokens[:e.pos + 1]).data[-1]
             assert e.scores == tuple(recomputed)
 
+    def test_event_scores_match_recomputation_across_blocks(self):
+        # no-graph passes against recomputation with a graph, 30 to 70 tokens
+        bm = make_bicameral(seed=13, max_seq_len=72)
+        prompt = [int(t) for t in np.random.default_rng(13).integers(0, 6, size=30)]
+        events = list(generate(bm, prompt, 40, SamplerConfig()))
+        tokens = [e.token_id for e in events]
+        prompt_scores = score_prefixes(bm, prompt)
+        assert prompt_scores.requires_grad
+        for e in events[:30]:
+            assert e.scores == tuple(prompt_scores.data[e.pos])
+        for e in events[30:]:
+            recomputed = score_prefixes(bm, tokens[:e.pos + 1]).data[-1]
+            assert e.scores == tuple(recomputed)
+
     def test_one_forward_per_generated_token(self):
         bm = make_bicameral(seed=7)
         bm.language.forward_calls = 0

@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference import ref_attention
-from scipy.special import log_softmax
+from scipy.special import erf, log_softmax
 
 from bicameral import tensor as T
 from bicameral.gradcheck import check_gradients, numeric_gradient, run_op_battery
@@ -140,17 +141,66 @@ class TestCausalAttention:
             np.testing.assert_allclose(got[ix], ref_attention(q[ix], k[ix], v[ix], n_heads),
                                        rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("t", [1, 31, 32, 33, 64, 65, 100])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_matches_reference_across_blocks(self, t, lead):
+        rng = np.random.default_rng(t)
+        q, k, v = (rng.normal(size=lead + (t, 8)) for _ in range(3))
+        got = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        for ix in np.ndindex(*lead):
+            np.testing.assert_allclose(got[ix], ref_attention(q[ix], k[ix], v[ix], 2),
+                                       rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_later_rows_leave_earlier_rows_bitwise_equal(self, lead):
+        # 70 rows cross two block boundaries
         rng = np.random.default_rng(5)
-        q, k, v = (rng.normal(size=lead + (6, 8)) for _ in range(3))
-        out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
-        for i in range(6):
-            k2, v2 = k.copy(), v.copy()
-            k2[..., i + 1:, :] = rng.normal(scale=100.0, size=k2[..., i + 1:, :].shape)
-            v2[..., i + 1:, :] = rng.normal(scale=100.0, size=v2[..., i + 1:, :].shape)
-            out2 = T.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 2).data
-            assert out2[..., :i + 1, :].tobytes() == out[..., :i + 1, :].tobytes()
+        for t in (6, 70):
+            q, k, v = (rng.normal(size=lead + (t, 8)) for _ in range(3))
+            out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+            for i in range(t):
+                k2, v2 = k.copy(), v.copy()
+                k2[..., i + 1:, :] = rng.normal(scale=100.0, size=k2[..., i + 1:, :].shape)
+                v2[..., i + 1:, :] = rng.normal(scale=100.0, size=v2[..., i + 1:, :].shape)
+                out2 = T.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 2).data
+                assert out2[..., :i + 1, :].tobytes() == out[..., :i + 1, :].tobytes()
+
+    @pytest.mark.parametrize("t", [1, 32, 33, 100, 256])
+    def test_output_is_bitwise_equal_with_and_without_a_graph(self, t):
+        rng = np.random.default_rng(t)
+        q, k, v = (rng.normal(size=(2, t, 16)) for _ in range(3))
+
+        def run(grad):
+            return T.causal_attention(*(Tensor(x, requires_grad=grad) for x in (q, k, v)), 4)
+
+        with_graph = run(True)
+        assert with_graph.requires_grad
+        with T.no_grad():
+            without = run(True)
+        assert not without.requires_grad
+        for other in (without, run(False)):
+            assert other.data.tobytes() == with_graph.data.tobytes()
+
+    def test_gradcheck_across_a_block_boundary(self):
+        rng = np.random.default_rng(40)
+        q, k, v = rand(rng, 40, 4), rand(rng, 40, 4), rand(rng, 40, 4)
+        loss = probe(rng, (40, 4))
+        res = check_gradients("causal_attention", lambda: loss(T.causal_attention(q, k, v, 2)),
+                              [q, k, v])
+        assert res.ok, res.row()
+
+    def test_no_grad_pass_keeps_no_weight_matrix(self):
+        # the [4, 256, 256] weights alone would take 2 MiB
+        rng = np.random.default_rng(8)
+        q, k, v = (Tensor(rng.normal(size=(256, 64))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                T.causal_attention(q, k, v, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_masked_keys_pass_no_gradient(self):
         rng = np.random.default_rng(6)
@@ -197,6 +247,55 @@ class TestLayerNorm:
         loss = probe(rng, (3, 6))
         res = check_gradients("layer_norm", lambda: loss(T.layer_norm(x, g, b)), [x, g, b])
         assert res.ok, res.row()
+
+
+def old_layer_norm(x, gain, bias, g):
+    """The previous formulas of ``layer_norm``: output and the gradients
+    for x, gain and bias under the upstream gradient g."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + T.LAYER_NORM_EPS)
+    xhat = (x - mu) * inv_std
+    gh = g * gain
+    term = gh - np.mean(gh, axis=-1, keepdims=True) \
+        - xhat * np.mean(gh * xhat, axis=-1, keepdims=True)
+    lead = tuple(range(x.ndim - 1))
+    return (xhat * gain + bias, inv_std * term, np.sum(g * xhat, axis=lead),
+            np.sum(g, axis=lead))
+
+
+def old_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+class TestBitwiseAgainstOldFormulas:
+    SHAPES = [(1, 1), (3, 8), (2, 5, 16), (4, 3, 2, 7), (160, 64), (2, 33, 32)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        x = rng.normal(scale=3.0, size=shape)
+        gain, bias, g = rng.normal(size=shape[-1]), rng.normal(size=shape[-1]), \
+            rng.normal(size=shape)
+        tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        out = T.layer_norm(tx, tg, tb)
+        out._backward_fn(g)
+        for got, want in zip((out.data, tx.grad, tg.grad, tb.grad),
+                             old_layer_norm(x, gain, bias, g)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
+        tx = Tensor(x, requires_grad=True)
+        out = T.gelu(tx)
+        out._backward_fn(g)
+        want_out, want_grad = old_gelu(x, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert tx.grad.tobytes() == want_grad.tobytes()
 
 
 class TestConcatLast:

@@ -285,6 +285,28 @@ class TestGroups:
         assert all(real.dtype == bool for _, real in out)
 
 
+def inf_gradient_node(param):
+    """A finite 0-d value whose graph hands ``param`` an infinite gradient."""
+    return T.Tensor(0.0, True, _parents=(param,),
+                    _backward=lambda g: setattr(param, "grad", np.full(param.shape, np.inf)))
+
+
+class TestEpochs:
+    def test_non_finite_gradient_raises_before_the_step(self):
+        params = [T.Tensor(np.ones(3), requires_grad=True),
+                  T.Tensor(np.zeros(2), requires_grad=True)]
+        before = [p.data.copy() for p in params]
+
+        def group_loss(group, real, batch_len):
+            return T.add(T.Tensor(0.5), inf_gradient_node(params[0])), 0.5, len(group)
+
+        with pytest.raises(optim.NumericError, match="non-finite gradient"):
+            list(optim.epochs(params, np.ones(6, dtype=int), group_loss,
+                              OptimConfig(epochs=1, batch_size=6)))
+        for p, b in zip(params, before):
+            assert p.data.tobytes() == b.tobytes()
+
+
 class TestEvaluate:
     def test_one_shadow_pass_per_group(self, monkeypatch):
         bm = make_bicameral(seed=16)
