@@ -73,8 +73,8 @@ def _merge_flags(config: dict, args: argparse.Namespace) -> dict:
         merged["seed"] = args.seed
     if "seed" not in merged:
         raise ConfigError("a seed must be given, in the config file or via --seed")
-    if type(merged["seed"]) is not int:
-        raise ConfigError(f"the seed must be an integer, got {merged['seed']!r}")
+    if type(merged["seed"]) is not int or merged["seed"] < 0:
+        raise ConfigError(f"the seed must be an integer >= 0, got {merged['seed']!r}")
     merged.setdefault("paths", {})
     for section in SECTIONS:
         if not isinstance(merged.get(section, {}), dict):
@@ -94,23 +94,18 @@ def _path(config: dict, key: str, must_exist: bool = False) -> Path:
     return p
 
 
-def _model_config(config: dict, section: str, cls, **fixed):
+def _section(merged: dict, name: str, cls, seed_offset: int | None = None,
+             drop: tuple[str, ...] = (), **fixed):
+    """``cls`` built from config section ``name``, less the keys in ``drop``,
+    plus ``fixed``; with a ``seed_offset``, the seed defaults to the run
+    seed plus it. A refused value is a ``ConfigError``."""
+    fields = {k: v for k, v in merged.get(name, {}).items() if k not in drop}
+    if seed_offset is not None:
+        fields.setdefault("seed", merged["seed"] + seed_offset)
     try:
-        return cls(**fixed, **config.get(section, {}))
+        return cls(**fixed, **fields)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} config: {exc}") from exc
-
-
-def _optim_config(config: dict, section: str, seed_offset: int,
-                  drop: tuple[str, ...] = ()) -> OptimConfig:
-    try:
-        fields = dict(config.get(section, {}))
-        for key in drop:
-            fields.pop(key, None)
-        fields.setdefault("seed", int(config["seed"]) + seed_offset)
-        return OptimConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} config: {exc}") from exc
+        raise ConfigError(f"bad {name} config: {exc}") from exc
 
 
 def _write_sidecar(artifact: Path, merged_config: dict) -> None:
@@ -200,13 +195,13 @@ def cmd_pretrain(merged: dict, do_freeze: bool = True) -> int:
     corpus_text = _path(merged, "corpus", must_exist=True).read_text(encoding="utf-8")
     out_path = _path(merged, "checkpoint_out")
 
-    lm_cfg = _model_config(merged, "lm", LMConfig, vocab_size=tokenizer.vocab_size)
-    opt = _optim_config(merged, "pretrain", seed_offset=2, drop=("window",))
+    lm_cfg = _section(merged, "lm", LMConfig, vocab_size=tokenizer.vocab_size)
+    opt = _section(merged, "pretrain", OptimConfig, seed_offset=2, drop=("window",))
     window = merged.get("pretrain", {}).get("window", min(64, lm_cfg.max_seq_len - 1))
-    if type(window) is not int:
-        raise ConfigError(f"pretrain.window must be an integer, got {window!r}")
+    if type(window) is not int or window < 1:
+        raise ConfigError(f"pretrain.window must be an integer >= 1, got {window!r}")
 
-    rng = np.random.default_rng(int(merged["seed"]))
+    rng = np.random.default_rng(merged["seed"])
     lm = init_language_model(lm_cfg, rng)
     sequences = _corpus_windows(corpus_text, tokenizer, window)
     log = pretrain(lm, sequences, opt)
@@ -220,31 +215,20 @@ def cmd_pretrain(merged: dict, do_freeze: bool = True) -> int:
     return EXIT_OK
 
 
-def _task_spec(merged: dict, tokenizer: CharTokenizer) -> training.SyntheticTaskSpec:
-    task = dict(merged.get("task", {}))
-    kind = task.pop("kind", None)
-    if kind is None:
-        raise ConfigError("config is missing task.kind")
-    ids = {}
-    for field, what in (("forbidden_chars", "forbidden_ids"),
-                        ("parity_chars", "parity_ids"),
-                        ("positive_chars", "positive_ids"),
-                        ("negative_chars", "negative_ids")):
-        if field in task:
-            ids[what] = _chars_to_ids(tokenizer, task.pop(field), field)
-    task.setdefault("seed", int(merged["seed"]))
-    try:
-        return training.SyntheticTaskSpec(kind=kind, vocab_size=tokenizer.vocab_size,
-                                          **ids, **task)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad task config: {exc}") from exc
+# task keys given as characters, and the SyntheticTaskSpec id fields they fill
+CHAR_FIELDS = {"forbidden_chars": "forbidden_ids", "parity_chars": "parity_ids",
+               "positive_chars": "positive_ids", "negative_chars": "negative_ids"}
 
 
 def cmd_make_data(merged: dict) -> int:
     tokenizer = CharTokenizer.from_file(_path(merged, "alphabet", must_exist=True))
     train_path = _path(merged, "dataset_train")
     val_path = _path(merged, "dataset_val")
-    spec = _task_spec(merged, tokenizer)
+    task = merged.get("task", {})
+    ids = {CHAR_FIELDS[k]: _chars_to_ids(tokenizer, v, k)
+           for k, v in task.items() if k in CHAR_FIELDS}
+    spec = _section(merged, "task", training.SyntheticTaskSpec, seed_offset=0,
+                    drop=tuple(CHAR_FIELDS), vocab_size=tokenizer.vocab_size, **ids)
     train, val = training.generate_synthetic_dataset(spec)
     training.save_dataset(train_path, train)
     training.save_dataset(val_path, val)
@@ -255,6 +239,7 @@ def cmd_make_data(merged: dict) -> int:
 
 
 def cmd_train_doppel(merged: dict) -> int:
+    opt = _section(merged, "train", OptimConfig, seed_offset=3)
     lm, doppel, tokenizer, block = _load_models(_path(merged, "checkpoint_in",
                                                       must_exist=True))
     if not block.get("frozen"):
@@ -263,11 +248,9 @@ def cmd_train_doppel(merged: dict) -> int:
     train = training.load_dataset(_path(merged, "dataset_train", must_exist=True))
     val = training.load_dataset(_path(merged, "dataset_val", must_exist=True))
     if doppel is None:
-        rng = np.random.default_rng(int(merged["seed"]) + 1)
-        doppel = init_doppelganger(lm.config, _model_config(merged, "doppel", DoppelConfig),
-                                   rng)
+        rng = np.random.default_rng(merged["seed"] + 1)
+        doppel = init_doppelganger(lm.config, _section(merged, "doppel", DoppelConfig), rng)
     bm = BicameralModel(language=lm, doppel=doppel)
-    opt = _optim_config(merged, "train", seed_offset=3)
     log = training.train_doppelganger(bm, train, val, opt)
 
     out_path = _path(merged, "checkpoint_out")
@@ -280,15 +263,10 @@ def cmd_train_doppel(merged: dict) -> int:
 
 
 def cmd_generate(merged: dict, prompt: str, max_new: int, fmt: str) -> int:
+    sampler = _section(merged, "sampler", SamplerConfig, seed_offset=0)
     lm, doppel, tokenizer, _ = _load_models(_path(merged, "checkpoint_in",
                                                   must_exist=True), need_doppel=True)
     bm = BicameralModel(language=lm, doppel=doppel)
-    sampler_cfg = dict(merged.get("sampler", {}))
-    sampler_cfg.setdefault("seed", int(merged["seed"]))
-    try:
-        sampler = SamplerConfig(**sampler_cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sampler config: {exc}") from exc
     try:
         prompt_ids = tokenizer.encode(prompt)
     except ValueError as exc:
@@ -308,7 +286,9 @@ def cmd_generate(merged: dict, prompt: str, max_new: int, fmt: str) -> int:
 
 
 def cmd_lemma_demo(merged: dict, instances: int, report: str | None) -> int:
-    seed = int(merged["seed"])
+    if instances < 0:
+        raise ConfigError(f"--instances must be >= 0, got {instances}")
+    seed = merged["seed"]
     report_path = Path(report) if report else _path(merged, "report")
     lines = []
     holds = 0
@@ -325,7 +305,7 @@ def cmd_lemma_demo(merged: dict, instances: int, report: str | None) -> int:
 
 
 def cmd_gradcheck(merged: dict) -> int:
-    seed = int(merged["seed"])
+    seed = merged["seed"]
     results = run_op_battery(seed)
     results.append(run_model_check(seed))
     for res in results:

@@ -22,6 +22,7 @@ from . import tensor as T
 from .checkpoint import load_named
 from .language import (AttentionModuleParams, LanguageModel, LMConfig,
                        attention_module, forward, init_attention_module, init_matrix)
+from .optim import check_fields
 from .tensor import Tensor
 
 
@@ -33,9 +34,7 @@ class DoppelConfig:
     d_ff_shadow: int = 128
 
     def __post_init__(self):
-        for name in ("d_shadow", "n_objectives", "n_heads_shadow", "d_ff_shadow"):
-            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
-                raise ValueError(f"DoppelConfig.{name} must be an integer >= 1")
+        check_fields(self)
         if self.d_shadow % self.n_heads_shadow != 0:
             raise ValueError(f"d_shadow={self.d_shadow} is not divisible by "
                              f"n_heads_shadow={self.n_heads_shadow}")

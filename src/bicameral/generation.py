@@ -17,6 +17,7 @@ import numpy as np
 
 from .doppelganger import BicameralModel, bicameral_forward
 from .language import CharTokenizer, SequenceError
+from .optim import check_fields
 from .tensor import no_grad
 
 STRATEGIES = ("greedy", "temperature", "top_k")
@@ -30,14 +31,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.k) is not int or type(self.seed) is not int:
-            raise TypeError("SamplerConfig.k and seed must be integers")
+        check_fields(self, seed=0)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.k < 1:
-            raise ValueError("top_k needs k >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,9 +70,9 @@ def sample(logits_row: np.ndarray, sampler: SamplerConfig,
         keep = np.argsort(-row, kind="stable")[:sampler.k]
     else:
         keep = np.arange(row.size)
-    z = row[keep] / sampler.temperature
-    z -= z.max()
-    p = np.exp(z)
+    z = row[keep] - row[keep].max()  # shifted first: a tiny tau then gives -inf, not NaN
+    with np.errstate(over="ignore"):
+        p = np.exp(z / sampler.temperature)
     p /= p.sum()
     return int(keep[rng.choice(keep.size, p=p)])
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_named, parameter_checksum
-from .optim import OptimConfig, epochs, pad
+from .optim import OptimConfig, check_fields, epochs, pad
 from .tensor import Tensor
 
 
@@ -39,9 +39,7 @@ class LMConfig:
     max_seq_len: int = 256
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
-            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
-                raise ValueError(f"LMConfig.{name} must be an integer >= 1")
+        check_fields(self)
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} is not divisible by "
                              f"n_heads={self.n_heads}")

@@ -3,7 +3,8 @@ the language tower and training the shadow tower."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,23 +19,38 @@ class NumericError(ArithmeticError):
     """Training produced a non-finite loss, gradient or parameter."""
 
 
+def check_fields(config, **floors) -> None:
+    """Refuse, with one ``ValueError`` naming ``Class.field``, a dataclass
+    whose ``int`` field is not an ``int`` (a bool is not) or whose ``float``
+    field is not a finite int or float, or whose value is below its floor:
+    ``floors[name]`` if given, else 1 for an int and above 0 for a float."""
+    for f in fields(config):
+        if f.type not in ("int", "float"):
+            continue
+        x, is_int = getattr(config, f.name), f.type == "int"
+        floor = floors.get(f.name, 1 if is_int else 0)
+        strict = not is_int and f.name not in floors
+        if is_int:
+            number = type(x) is int
+        else:  # not math.isfinite, which raises on an int past the float range
+            number = (type(x) is not bool and isinstance(x, (int, float))
+                      and abs(x) <= sys.float_info.max)
+        if not number or (x <= floor if strict else x < floor):
+            raise ValueError(f"{type(config).__name__}.{f.name} must be "
+                             f"{'an integer' if is_int else 'a finite number'} "
+                             f"{'>' if strict else '>='} {floor}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
     epochs: int = 50
     patience: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        ints = ("batch_size", "epochs", "patience", "seed")
-        if any(type(getattr(self, f)) is not int for f in ints):
-            raise TypeError(f"{', '.join(ints)} must be integers")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
-            raise ValueError("invalid optimizer configuration")
+        check_fields(self, epochs=0, seed=0)
 
 
 def pad(rows: list[np.ndarray]) -> np.ndarray:
@@ -82,8 +98,7 @@ def epochs(params: list[T.Tensor], lengths: np.ndarray, group_loss, opt: OptimCo
                 total, count = total + group_total, count + group_count
             if not all(p.grad is None or np.isfinite(p.grad).all() for p in params):
                 raise NumericError(f"a non-finite gradient in epoch {epoch}")
-            T.adam_step(params, [p.grad for p in params], state,
-                        lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+            T.adam_step(params, [p.grad for p in params], state, lr=opt.lr)
             T.zero_grads(params)
             if not all(np.isfinite(p.data).all() for p in params):
                 raise NumericError(f"a step left a non-finite parameter in epoch {epoch}")

@@ -26,6 +26,7 @@ from scipy.special import erf
 
 BCE_EPS = 1e-7
 LAYER_NORM_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decays and guard
 ATTENTION_BLOCK = 32  # query rows per block of causal_attention; 64 times alike
 _ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 _ABOVE_DIAGONAL.flags.writeable = False
@@ -489,25 +490,25 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray | None],
-              state: AdamState, lr: float = 3e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place on ``params``.
+              state: AdamState, lr: float = 3e-4) -> None:
+    """One bias-corrected Adam update, in place on ``params``, with the
+    fixed ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     A ``None`` gradient is treated as zero (the moments still decay).
     """
     if not (len(params) == len(grads) == len(state.m) == len(state.v)):
         raise ValueError("params, grads and optimizer state are misaligned")
     state.step += 1
-    c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             g = np.zeros_like(p.data)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def zero_grads(params: list[Tensor]) -> None:

@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import parameter_checksum
 from .doppelganger import BicameralModel, doppel_forward, parameters as doppel_parameters
 from .language import FrozenModelError, forward, named_parameters as lm_named
-from .optim import NumericError, OptimConfig, epochs, groups, pad
+from .optim import NumericError, OptimConfig, check_fields, epochs, groups, pad
 from .tensor import Tensor
 
 
@@ -81,17 +81,12 @@ class SyntheticTaskSpec:
     corpus_tokens: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        ints = ("vocab_size", "n_sequences", "min_len", "max_len", "seed")
-        if any(type(getattr(self, f)) is not int for f in ints):
-            raise TypeError(f"{', '.join(ints)} must be integers")
+        check_fields(self, val_fraction=0.0, max_len=self.min_len, seed=0)
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
-        if self.n_sequences < 1:
-            raise ValueError("n_sequences must be >= 1")
-        if not (0.0 <= self.val_fraction < 1.0):
-            raise ValueError("val_fraction must be in [0, 1)")
-        if not (1 <= self.min_len <= self.max_len):
-            raise ValueError("need 1 <= min_len <= max_len")
+        if self.val_fraction >= 1.0:
+            raise ValueError(f"SyntheticTaskSpec.val_fraction must be below 1, "
+                             f"got {self.val_fraction!r}")
         if self.corpus_tokens is not None and len(self.corpus_tokens) == 0:
             raise ValueError("corpus is empty")
         for name in ("forbidden_ids", "parity_ids", "positive_ids", "negative_ids"):

@@ -153,6 +153,7 @@ class TestExitCodes:
         assert run(["--config", "bad.json", "gradcheck"], monkeypatch, tmp_path) == 2
 
     LEMMA = ["lemma-demo", "--instances", "1"]
+    GENERATE = ["generate", "--prompt", "ab"]
 
     @pytest.mark.parametrize("key_path, value, command", [
         ((), [1, 2], ["--seed", "3", *LEMMA]),
@@ -167,6 +168,18 @@ class TestExitCodes:
         (("pretrain", "window"), 2.5, ["pretrain"]),
         (("task", "n_sequences"), 3.5, ["make-data"]),
         (("seed",), 1.5, LEMMA),
+        (("train", "lr"), float("nan"), ["train-doppel"]),
+        (("train", "lr"), float("inf"), ["train-doppel"]),
+        (("train", "lr"), True, ["train-doppel"]),
+        pytest.param(("train", "lr"), 10**400, ["train-doppel"], id="train-lr-10**400"),
+        (("train", "beta1"), 0.9, ["train-doppel"]),
+        (("sampler", "temperature"), float("nan"), GENERATE),
+        (("sampler", "temperature"), float("inf"), GENERATE),
+        (("sampler", "temperature"), True, GENERATE),
+        (("task", "val_fraction"), "x", ["make-data"]),
+        (("task", "val_fraction"), 1.0, ["make-data"]),
+        (("task", "seed"), -1, ["make-data"]),
+        (("pretrain", "window"), 0, ["pretrain"]),
     ])
     def test_malformed_run_config_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                     key_path, value, command):
@@ -179,6 +192,19 @@ class TestExitCodes:
         assert run(["--config", "run.json", *command], monkeypatch, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not key_path or key_path[-1] in err
+
+    @pytest.mark.parametrize("args, name", [
+        (["--seed", "-5", *LEMMA], "seed"),
+        (["lemma-demo", "--instances", "-1"], "--instances"),
+    ])
+    def test_out_of_range_flag_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                 args, name):
+        write_workspace(tmp_path)
+        assert run(["--config", "run.json", *args], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and name in err
+        assert not (tmp_path / "report.jsonl").exists()
 
     def test_train_doppel_refuses_unfrozen_checkpoint(self, tmp_path, monkeypatch,
                                                       capsys):
@@ -515,7 +541,8 @@ class TestFuzz:
 
     @FUZZ
     @given(which=st.integers(0, 2**10),
-           value=st.sampled_from([[1], {"k": 1}, "x", 1.5, None, -3, 10**30, ""]))
+           value=st.sampled_from([[1], {"k": 1}, "x", 1.5, None, -3, 10**30, "",
+                                  float("nan"), float("inf"), True, 0, 1e-320]))
     def test_run_config_edits(self, fuzz_workspace, which, value):
         config = json.loads((fuzz_workspace / "fuzz.json").read_text())
         paths = list(key_paths(config))

@@ -41,6 +41,11 @@ class TestSample:
         draws = {sample(logits, cfg, rng) for _ in range(1000)}
         assert draws == {1}
 
+    def test_tiny_temperature_takes_greedy_limit(self):
+        row = np.array([0.3, 2.0, -1.0, 1.2])
+        cfg = SamplerConfig(strategy="temperature", temperature=1e-320)
+        assert sample(row, cfg, np.random.default_rng(0)) == np.argmax(row)
+
     def test_temperature_sampling_covers_support(self):
         rng = np.random.default_rng(2)
         logits = np.zeros(3)
@@ -63,8 +68,9 @@ class TestSample:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             SamplerConfig(strategy="beam")
-        with pytest.raises(ValueError):
-            SamplerConfig(temperature=0.0)
+        for temperature in (0.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="SamplerConfig.temperature"):
+                SamplerConfig(temperature=temperature)
 
 
 class TestGenerate:

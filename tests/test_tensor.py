@@ -541,7 +541,7 @@ class TestAdam:
         p = Tensor([1.0, -2.0], requires_grad=True)
         g = np.array([0.5, -1.0])
         state = AdamState.for_params([p])
-        adam_step([p], [g], state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step([p], [g], state, lr=0.1)
 
         m = 0.1 * g
         v = 0.001 * g * g
