@@ -6,8 +6,8 @@ from .doppelganger import (BicameralModel, DoppelConfig, DoppelgangerModel,
                            bicameral_forward, doppel_forward, init_doppelganger,
                            score_prefixes)
 from .generation import GenerationEvent, SamplerConfig, generate, sample
-from .language import (CharTokenizer, LanguageModel, LMConfig, forward, freeze,
-                       init_language_model, positional_encode, pretrain)
+from .language import (CharTokenizer, KVCache, LanguageModel, LMConfig, forward,
+                       freeze, init_language_model, positional_encode, pretrain)
 from .optim import OptimConfig
 from .tensor import Tensor
 from .training import (SupervisedSequence, SyntheticTaskSpec, evaluate,
@@ -15,7 +15,7 @@ from .training import (SupervisedSequence, SyntheticTaskSpec, evaluate,
 
 __all__ = [
     "BicameralModel", "CharTokenizer", "DoppelConfig", "DoppelgangerModel",
-    "GenerationEvent", "LMConfig", "LanguageModel", "OptimConfig",
+    "GenerationEvent", "KVCache", "LMConfig", "LanguageModel", "OptimConfig",
     "SamplerConfig", "SupervisedSequence", "SyntheticTaskSpec", "Tensor",
     "bicameral_forward", "doppel_forward", "evaluate", "forward", "freeze",
     "generate", "generate_synthetic_dataset", "init_doppelganger",

@@ -229,6 +229,15 @@ def cmd_make_data(merged: dict) -> int:
            for k, v in task.items() if k in CHAR_FIELDS}
     spec = _section(merged, "task", training.SyntheticTaskSpec, seed_offset=0,
                     drop=tuple(CHAR_FIELDS), vocab_size=tokenizer.vocab_size, **ids)
+    # refused here, not first by train-doppel after the files are written
+    n_train, n_val = spec.split_sizes()
+    if not n_train or not n_val:
+        raise ConfigError(f"task splits {spec.n_sequences} sequences into {n_train} "
+                          f"train and {n_val} val; each split needs one at least")
+    max_seq_len = _section(merged, "lm", LMConfig, vocab_size=tokenizer.vocab_size).max_seq_len
+    if spec.max_len > max_seq_len:
+        raise ConfigError(f"task.max_len={spec.max_len} exceeds "
+                          f"lm.max_seq_len={max_seq_len}")
     train, val = training.generate_synthetic_dataset(spec)
     training.save_dataset(train_path, train)
     training.save_dataset(val_path, val)

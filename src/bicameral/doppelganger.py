@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_named
-from .language import (AttentionModuleParams, LanguageModel, LMConfig,
+from .language import (AttentionModuleParams, KVCache, LanguageModel, LMConfig,
                        attention_module, forward, init_attention_module, init_matrix)
 from .optim import check_fields
 from .tensor import Tensor
@@ -108,14 +108,18 @@ def load_parameters(model: DoppelgangerModel, values: dict[str, np.ndarray],
     load_named(named_parameters(model), values, prefix)
 
 
-def doppel_forward(model: DoppelgangerModel, taps: list[Tensor]) -> Tensor:
+def doppel_forward(model: DoppelgangerModel, taps: list[Tensor],
+                   cache: KVCache | None = None) -> Tensor:
     """Supervision scores, [T, n_objectives], one row per prefix (or
     [G, T, n_objectives] for taps of a group), from the language tower's
-    taps as ``forward`` returns them.
+    taps as ``forward`` returns them. With a ``cache`` of the shadow
+    tower's keys and values, the taps are those of the positions after
+    ``cache.length``, as ``forward`` returns them with its own cache.
 
     scores[t] is the prediction for the prefix ending at position t.
     Shadow attention is causal like the language side, so position t never
-    sees later taps.
+    sees later taps; like it, the scores of a prefix are the same bits
+    however many positions run with it.
     """
     n_modules = len(model.blocks)
     if len(taps) != n_modules + 1:
@@ -125,13 +129,16 @@ def doppel_forward(model: DoppelgangerModel, taps: list[Tensor]) -> Tensor:
         raise ValueError(f"tap width {taps[0].shape[-1]} does not match language "
                          f"width {model.lm_config.d_model}")
 
-    shadow = T.matmul(taps[0], model.input_proj)
+    cache = KVCache(taps[0].shape[-2]) if cache is None else cache
+    start = cache.length
+    shadow = T.matmul(taps[0], model.input_proj, start)
     for k, block in enumerate(model.blocks):
-        fused = T.add(T.matmul(T.concat_last(taps[k], shadow), model.fusion_w[k]),
+        fused = T.add(T.matmul(T.concat_last(taps[k], shadow), model.fusion_w[k], start),
                       model.fusion_b[k])
-        shadow = attention_module(block, fused, model.config.n_heads_shadow)
+        shadow = attention_module(block, fused, model.config.n_heads_shadow, cache, k)
+    cache.length += taps[0].shape[-2]
     h = T.layer_norm(shadow, model.lnf_gain, model.lnf_bias)
-    return T.sigmoid(T.add(T.matmul(h, model.head_w), model.head_b))
+    return T.sigmoid(T.add(T.matmul(h, model.head_w, start), model.head_b))
 
 
 @dataclass
@@ -151,10 +158,14 @@ class BicameralModel:
                              "module count")
 
 
-def bicameral_forward(bm: BicameralModel, tokens) -> tuple[Tensor, Tensor]:
-    """One language pass serving both towers: (logits, scores)."""
-    logits, taps = forward(bm.language, tokens)
-    return logits, doppel_forward(bm.doppel, taps)
+def bicameral_forward(bm: BicameralModel, tokens,
+                      cache: tuple[KVCache, KVCache] | None = None) -> tuple[Tensor, Tensor]:
+    """One language pass serving both towers: (logits, scores). ``cache``
+    is a (language, shadow) pair of ``KVCache`` for decoding one sequence
+    a few positions per call; without it, the pass covers all of ``tokens``."""
+    lm_cache, shadow_cache = (None, None) if cache is None else cache
+    logits, taps = forward(bm.language, tokens, lm_cache)
+    return logits, doppel_forward(bm.doppel, taps, shadow_cache)
 
 
 def score_prefixes(bm: BicameralModel, tokens) -> Tensor:

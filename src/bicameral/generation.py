@@ -1,9 +1,12 @@
 """Autoregressive decoding that emits each token together with the shadow
 tower's score vector for the sequence up to and including that token.
 
-Every generated token costs exactly one bicameral forward pass: the pass
-that first contains position t provides both that position's scores and
-the logits used to sample position t+1. Scores never feed back into
+Every generated token costs exactly one bicameral forward pass of one
+row: the pass that first contains position t provides both that
+position's scores and the logits used to sample position t+1. A per-call
+pair of ``KVCache`` holds both towers' keys and values, so that pass runs
+the new position alone; fixed row and key tiles make its scores bitwise
+those of a full pass over the prefix. Scores never feed back into
 sampling; what to do with them is the consumer's business.
 """
 
@@ -16,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .doppelganger import BicameralModel, bicameral_forward
-from .language import CharTokenizer, SequenceError
+from .language import CharTokenizer, KVCache, SequenceError
 from .optim import check_fields
 from .tensor import no_grad
 
@@ -83,9 +86,12 @@ def generate(bm: BicameralModel, prompt, max_new: int,
     """Stream events for every prompt position, then one per new token.
 
     The prompt events all come from the first forward pass; each
-    generated token's event comes from the single pass in which its
-    position first exists. Each pass runs under ``no_grad``, so it builds
-    no graph. Model parameters are never touched.
+    generated token's event comes from the single one-row pass in which
+    its position first exists, reading the earlier positions' keys and
+    values from a cache that this call owns. Each pass runs under
+    ``no_grad``, so it builds no graph. Nothing is stored on the model
+    and its parameters are never touched, so concurrent calls on one
+    frozen model are safe.
     """
     prompt = [int(t) for t in np.asarray(prompt).reshape(-1)]
     if not prompt:
@@ -100,23 +106,23 @@ def generate(bm: BicameralModel, prompt, max_new: int,
     def text(token_id: int) -> str:
         return tokenizer.decode([token_id]) if tokenizer is not None else ""
 
-    def bicameral_pass(seq: list[int]):
+    cache = (KVCache(cfg.max_seq_len), KVCache(cfg.max_seq_len))
+
+    def bicameral_pass(tokens: list[int]):
         # entered and left within one call, never across a yield, so the
         # consumer's own ops keep their gradient setting
         with no_grad():
-            return bicameral_forward(bm, seq)
+            return bicameral_forward(bm, tokens, cache)
 
     rng = np.random.default_rng(sampler.seed)
-    seq = list(prompt)
-    logits, scores = bicameral_pass(seq)
-    for pos, token_id in enumerate(seq):
+    logits, scores = bicameral_pass(prompt)
+    for pos, token_id in enumerate(prompt):
         yield GenerationEvent(pos, token_id, text(token_id),
                               tuple(float(s) for s in scores.data[pos]))
-    for _ in range(max_new):
+    for pos in range(len(prompt), len(prompt) + max_new):
         next_id = sample(logits.data[-1], sampler, rng)
-        seq.append(next_id)
-        logits, scores = bicameral_pass(seq)
-        yield GenerationEvent(len(seq) - 1, next_id, text(next_id),
+        logits, scores = bicameral_pass([next_id])
+        yield GenerationEvent(pos, next_id, text(next_id),
                               tuple(float(s) for s in scores.data[-1]))
 
 

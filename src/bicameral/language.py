@@ -166,17 +166,18 @@ def freeze(model: LanguageModel) -> None:
     model.checksum = parameter_checksum(named_parameters(model))
 
 
-def positional_encode(embeddings: Tensor, max_seq_len: int) -> Tensor:
+def positional_encode(embeddings: Tensor, max_seq_len: int, start: int = 0) -> Tensor:
     """Add the fixed sinusoidal position table to [T, d] (or [G, T, d])
-    embeddings.
+    embeddings of positions start..start+T-1.
 
     pe[pos, 2i] = sin(pos / 10000^(2i/d)), pe[pos, 2i+1] = cos(same).
     The table is a pure function of position, independent of the tokens.
     """
     t, d = embeddings.shape[-2:]
-    if t > max_seq_len:
-        raise SequenceError(f"sequence of length {t} exceeds max_seq_len={max_seq_len}")
-    pe = sinusoid_table(max_seq_len, d)[:t]
+    if start + t > max_seq_len:
+        raise SequenceError(f"sequence of length {start + t} exceeds "
+                            f"max_seq_len={max_seq_len}")
+    pe = sinusoid_table(max_seq_len, d)[start:start + t]
     return T.add(embeddings, Tensor(np.broadcast_to(pe, embeddings.shape)))
 
 
@@ -195,23 +196,69 @@ def sinusoid_table(t: int, d: int) -> np.ndarray:
     return pe
 
 
-def attention_module(params: AttentionModuleParams, x: Tensor, n_heads: int) -> Tensor:
+class KVCache:
+    """One tower's keys and values for the positions of one sequence run so
+    far, so that it can be decoded a few positions per call.
+
+    ``length`` positions have run. Attention module i keeps its keys and
+    values for them in the first rows of two zero-filled [..., capacity, d]
+    arrays, made on first use; a first call that fills the cache keeps its
+    own arrays instead. A call with a cache runs only the positions after
+    ``length`` and attends to the cached ones too; those enter as
+    constants, with no gradient path. A call without one runs on a fresh
+    cache sized to it, so a full pass and a decode step are the same code.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.length = 0
+        self._kv: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def extend(self, index: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store module ``index``'s keys and values of the new positions and
+        return those of every position so far: on an empty cache, ``k`` and
+        ``v`` themselves, so a full pass keeps its graph."""
+        end = self.length + k.shape[-2]
+        if end > self.capacity:
+            raise SequenceError(f"a cache of {self.capacity} positions cannot "
+                                f"hold {end}")
+        if index == len(self._kv):
+            if self.length == 0 and end == self.capacity:
+                self._kv.append((k.data, v.data))
+                return k, v
+            shape = (*k.shape[:-2], self.capacity, k.shape[-1])
+            self._kv.append((np.zeros(shape), np.zeros(shape)))
+        keys, values = self._kv[index]
+        keys[..., self.length:end, :] = k.data
+        values[..., self.length:end, :] = v.data
+        if self.length == 0:
+            return k, v
+        return Tensor(keys[..., :end, :]), Tensor(values[..., :end, :])
+
+
+def attention_module(params: AttentionModuleParams, x: Tensor, n_heads: int,
+                     cache: KVCache | None = None, index: int = 0) -> Tensor:
     """Pre-norm residual block: causal multi-head attention then FFN.
 
-    ``x`` is [..., T, d]. The q, k and v projections stay [..., T, d];
-    ``causal_attention`` splits and merges the heads inside the op.
+    ``x`` is [..., n, d], the rows of positions ``cache.length`` onward;
+    their keys and values join module ``index``'s in ``cache``. The q, k
+    and v projections stay [..., n, d]; ``causal_attention`` splits and
+    merges the heads inside the op.
     """
+    cache = KVCache(x.shape[-2]) if cache is None else cache
+    start = cache.length
     h = T.layer_norm(x, params.ln1_gain, params.ln1_bias)
-    q, k, v = (T.matmul(h, w) for w in (params.wq, params.wk, params.wv))
-    x = T.add(x, T.matmul(T.causal_attention(q, k, v, n_heads), params.wo))
+    q, k, v = (T.matmul(h, w, start) for w in (params.wq, params.wk, params.wv))
+    k, v = cache.extend(index, k, v)
+    x = T.add(x, T.matmul(T.causal_attention(q, k, v, n_heads), params.wo, start))
 
     f = T.layer_norm(x, params.ln2_gain, params.ln2_bias)
-    f = T.add(T.matmul(f, params.w1), params.b1)
-    f = T.add(T.matmul(T.gelu(f), params.w2), params.b2)
+    f = T.add(T.matmul(f, params.w1, start), params.b1)
+    f = T.add(T.matmul(T.gelu(f), params.w2, start), params.b2)
     return T.add(x, f)
 
 
-def _validate_ids(tokens, vocab_size: int, max_seq_len: int) -> np.ndarray:
+def _validate_ids(tokens, vocab_size: int, max_seq_len: int, start: int) -> np.ndarray:
     ids = np.asarray(tokens)
     if ids.ndim not in (1, 2) or ids.size == 0:
         raise SequenceError("token ids must be a non-empty [T] or [G, T] array")
@@ -221,33 +268,44 @@ def _validate_ids(tokens, vocab_size: int, max_seq_len: int) -> np.ndarray:
         bad = int(ids[(ids < 0) | (ids >= vocab_size)][0])
         raise SequenceError(f"token id {bad} out of range for vocabulary "
                             f"of {vocab_size}")
-    if ids.shape[-1] > max_seq_len:
-        raise SequenceError(f"sequence of length {ids.shape[-1]} exceeds "
+    if start + ids.shape[-1] > max_seq_len:
+        raise SequenceError(f"sequence of length {start + ids.shape[-1]} exceeds "
                             f"max_seq_len={max_seq_len}")
     return ids
 
 
-def forward(model: LanguageModel, tokens) -> tuple[Tensor, list[Tensor]]:
+def forward(model: LanguageModel, tokens,
+            cache: KVCache | None = None) -> tuple[Tensor, list[Tensor]]:
     """Causal forward pass: next-token logits plus the taps.
 
     ``tokens`` is one sequence [T] or a group [G, T] of equal-length rows;
     a group gives [G, T, ...] logits and taps. ``taps[0]`` is the
     positionally encoded embeddings and ``taps[k]`` the output of
-    attention module k, each [..., T, d_model]. logits[t] depends only on
-    tokens[0..t]; so do all taps at position t, so a right-padded row's
-    real positions never see its padding.
+    attention module k, each [..., T, d_model]. With a ``cache``, the
+    tokens are the positions after the ``cache.length`` already run, and
+    the results cover those positions alone.
+
+    logits[t] depends only on tokens[0..t], and so do all taps at position
+    t, bitwise across lengths: every product runs on tiles whose shape and
+    offsets the position sets, so the rows of a prefix are the same bits
+    whether it runs alone, as part of a longer sequence, or a few positions
+    per call through a cache. A right-padded row's real positions never
+    see its padding.
     """
     cfg = model.config
-    ids = _validate_ids(tokens, cfg.vocab_size, cfg.max_seq_len)
+    start = 0 if cache is None else cache.length
+    ids = _validate_ids(tokens, cfg.vocab_size, cfg.max_seq_len, start)
+    cache = KVCache(ids.shape[-1]) if cache is None else cache
     model.forward_calls += 1
 
-    x = positional_encode(T.embedding_lookup(model.embedding, ids), cfg.max_seq_len)
+    x = positional_encode(T.embedding_lookup(model.embedding, ids), cfg.max_seq_len, start)
     taps = [x]
-    for block in model.blocks:
-        x = attention_module(block, x, cfg.n_heads)
+    for index, block in enumerate(model.blocks):
+        x = attention_module(block, x, cfg.n_heads, cache, index)
         taps.append(x)
+    cache.length += ids.shape[-1]
     h = T.layer_norm(x, model.lnf_gain, model.lnf_bias)
-    logits = T.matmul(h, model.head)
+    logits = T.matmul(h, model.head, start)
     return logits, taps
 
 
@@ -268,8 +326,9 @@ def pretrain(model: LanguageModel, corpus: list, opt: OptimConfig) -> list[dict]
     """Next-token training on a list of token sequences.
 
     Gradients are averaged over each batch of sequences before the Adam
-    step. Returns one record per epoch: {"epoch", "train_loss"}, the mean
-    over sequences of each sequence's mean next-token loss.
+    step. Returns one record per epoch, as ``optim.epochs`` yields it:
+    {"epoch", "train_loss", "grad_norm", "param_norm"}, ``train_loss``
+    being the mean over sequences of each sequence's mean next-token loss.
     """
     if model.frozen:
         raise FrozenModelError("cannot pretrain a frozen language model")
@@ -281,8 +340,7 @@ def pretrain(model: LanguageModel, corpus: list, opt: OptimConfig) -> list[dict]
 
     lengths = np.array([len(s) - 1 for s in sequences])
     group_loss = partial(_group_loss, model, pad(sequences))
-    return [{"epoch": epoch, "train_loss": loss}
-            for epoch, loss in epochs(parameters(model), lengths, group_loss, opt)]
+    return list(epochs(parameters(model), lengths, group_loss, opt))
 
 
 # ---------------------------------------------------------------------------

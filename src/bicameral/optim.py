@@ -74,20 +74,28 @@ def groups(indices: np.ndarray, lengths: np.ndarray):
         yield group, np.arange(n.max()) < n[:, None]
 
 
+def norm(arrays) -> float:
+    """The global L2 norm of some arrays, skipping ``None``."""
+    return float(np.sqrt(sum(np.sum(a * a) for a in arrays if a is not None)))
+
+
 def epochs(params: list[T.Tensor], lengths: np.ndarray, group_loss, opt: OptimConfig):
     """Train ``params`` on items 0..len(lengths)-1, item i having
-    ``lengths[i]`` loss positions, yielding ``(epoch, train_loss)`` after
-    each epoch. Each batch of a seeded shuffle is split into ``groups``
-    whose gradients accumulate before one Adam step. ``group_loss(group,
-    real, batch_len)`` returns the group's loss tensor, a sum and a count;
-    ``train_loss`` is the epoch's sums over its counts. A non-finite loss,
-    summed gradient (checked before the step) or parameter raises ``NumericError``."""
+    ``lengths[i]`` loss positions, yielding after each epoch its record:
+    ``epoch``, ``train_loss`` (the epoch's group sums over their counts),
+    ``grad_norm`` (the mean over its steps of the summed gradient's global
+    L2 norm, before the step) and ``param_norm`` (after the epoch). Each
+    batch of a seeded shuffle is split into ``groups`` whose gradients
+    accumulate before one Adam step. ``group_loss(group, real, batch_len)``
+    returns the group's loss tensor, a sum and a count. A non-finite loss,
+    summed gradient (checked before the step) or parameter raises
+    ``NumericError``."""
     state = T.AdamState.for_params(params)
     rng = np.random.default_rng(opt.seed)
     T.zero_grads(params)
     for epoch in range(1, opt.epochs + 1):
         order = rng.permutation(len(lengths))
-        total, count = 0.0, 0
+        total, count, grad_norms = 0.0, 0, []
         for start in range(0, len(order), opt.batch_size):
             batch = order[start:start + opt.batch_size]
             for group, real in groups(batch, lengths):
@@ -98,8 +106,11 @@ def epochs(params: list[T.Tensor], lengths: np.ndarray, group_loss, opt: OptimCo
                 total, count = total + group_total, count + group_count
             if not all(p.grad is None or np.isfinite(p.grad).all() for p in params):
                 raise NumericError(f"a non-finite gradient in epoch {epoch}")
+            grad_norms.append(norm(p.grad for p in params))
             T.adam_step(params, [p.grad for p in params], state, lr=opt.lr)
             T.zero_grads(params)
             if not all(np.isfinite(p.data).all() for p in params):
                 raise NumericError(f"a step left a non-finite parameter in epoch {epoch}")
-        yield epoch, total / count
+        yield {"epoch": epoch, "train_loss": total / count,
+               "grad_norm": float(np.mean(grad_norms)),
+               "param_norm": norm(p.data for p in params)}

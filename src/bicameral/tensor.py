@@ -5,13 +5,20 @@ every forward pass. Broadcasting is deliberately narrow: adding a vector
 to every row, and leading axes on ``matmul`` (a group of sequences) with
 one shared right operand. ``causal_attention`` splits and merges the
 heads of an attention module inside the op, on numpy views, so no head
-axis ever reaches the graph. It takes query rows in blocks that score
-only the keys up to the block's end, never hands ``exp`` a -inf, and
-keeps its [..., H, T, T] weights only when it builds a graph. The op set
-covers exactly what the two transformer towers need: ``add``,
-``matmul``, ``concat_last``, ``embedding_lookup``, ``gelu``,
-``sigmoid``, ``layer_norm``, ``causal_attention``, ``cross_entropy``
-and ``binary_cross_entropy``.
+axis ever reaches the graph; its queries may be the last rows of longer
+keys and values, so one op serves a full pass and a cached decode step.
+It never hands ``exp`` a -inf, and keeps its [..., H, n, t] weights only
+when it builds a graph.
+
+Forward products run on fixed tiles: ``matmul`` on 8-row tiles
+(``row_tiles``), ``causal_attention`` on 32-position blocks whose query
+tiles and zero-padded keys have one shape per block. A row therefore
+meets BLAS in products whose shapes its position alone sets, and its
+value is the same bits however many rows come with it. Backward
+products are plain BLAS. The op set covers exactly what the two
+transformer towers need: ``add``, ``matmul``, ``concat_last``,
+``embedding_lookup``, ``gelu``, ``sigmoid``, ``layer_norm``,
+``causal_attention``, ``cross_entropy`` and ``binary_cross_entropy``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from scipy.special import erf
 BCE_EPS = 1e-7
 LAYER_NORM_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decays and guard
-ATTENTION_BLOCK = 32  # query rows per block of causal_attention; 64 times alike
+ROW_TILE = 8  # rows per tile of a matmul forward product
+ATTENTION_BLOCK = 32  # positions per block of causal_attention; 64 times alike
 _ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 _ABOVE_DIAGONAL.flags.writeable = False
 
@@ -200,22 +208,50 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "add")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, start: int = 0) -> Tensor:
     """``[..., m, k] @ [k, p]``: one right operand shared by every leading
-    index, run as a single 2-d product over all leading rows."""
+    index. The forward product runs on fixed row tiles (``row_tiles``) with
+    row i at tile offset ``(start + i) % ROW_TILE``, so the rows of one
+    sequence from position ``start`` on are bitwise those of the whole
+    sequence's product. Backward is plain BLAS."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     k, p = b.shape
-    a2 = a.data.reshape(-1, k)
-    out = (a2 @ b.data).reshape(a.shape[:-1] + (p,))
+    out = row_tiles(a.data, b.data, start)
 
     def backward(g):
         g2 = g.reshape(-1, p)
         _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
-        _accumulate(b, a2.T @ g2)
+        _accumulate(b, a.data.reshape(-1, k).T @ g2)
 
     return _make(out, (a, b), backward, "matmul")
+
+
+def _padded(a: np.ndarray, lo: int, rows: int) -> np.ndarray:
+    """``a`` [..., m, k] placed at rows lo..lo+m of a [..., rows, k] array
+    of zeros; only the padding is zeroed, not the whole array."""
+    out = np.empty(a.shape[:-2] + (rows, a.shape[-1]))
+    out[..., :lo, :] = 0.0
+    out[..., lo + a.shape[-2]:, :] = 0.0
+    out[..., lo:lo + a.shape[-2], :] = a
+    return out
+
+
+def row_tiles(a: np.ndarray, b: np.ndarray, start: int = 0) -> np.ndarray:
+    """``a [..., k] @ b [k, p]`` as ``[n, ROW_TILE, k] @ [k, p]``: the
+    flattened rows of ``a``, zero-padded in front to offset ``start %
+    ROW_TILE`` and behind to a whole tile, so that each row meets BLAS in a
+    product of one fixed shape, at an offset set by its index alone."""
+    k, p = b.shape
+    n = a.size // k
+    lo = start % ROW_TILE
+    rows = -(-(lo + n) // ROW_TILE) * ROW_TILE
+    tiles = a.reshape(n, k)
+    if rows != n:
+        tiles = _padded(tiles, lo, rows)
+    out = tiles.reshape(-1, ROW_TILE, k) @ b
+    return out.reshape(rows, p)[lo:lo + n].reshape(a.shape[:-1] + (p,))
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -333,55 +369,83 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Causal multi-head scaled dot-product attention over [..., T, d]
-    query, key and value projections; head h owns columns h*dh:(h+1)*dh.
+    """Causal multi-head scaled dot-product attention. ``k`` and ``v`` are
+    the [..., t, d] key and value projections of positions 0..t-1 and ``q``
+    [..., n, d] the queries of the last n of them: n = t for a whole
+    sequence, fewer for a decode step whose earlier keys come from a cache.
+    Head h owns columns h*dh:(h+1)*dh.
 
     The heads are split and merged on numpy views, and q is scaled by
     1/sqrt(dh). Position i attends to positions 0..i only: later keys get
     exactly zero weight, so row i of the result does not depend on later
-    rows of k or v. Query rows go in blocks of ``ATTENTION_BLOCK``: block
-    [r0, r1) scores keys [0, r1) only and masks its diagonal sub-block,
-    -inf for the max-subtracted softmax's row max, then 0 for ``exp``
-    (slow on -inf) and exactly 0 after it. The full [..., H, T, T] weights
-    P are kept only when the op builds a graph, for backward:
+    rows of k or v. Positions go in blocks of ``ATTENTION_BLOCK``. Block
+    [r0, r1) is one fixed-shape query tile, its queries at their positions'
+    offsets and zeros elsewhere, scoring the keys [0, r1) zero-padded past
+    t; each row masks the keys after its own position, -inf for the
+    max-subtracted softmax's row max, then 0 for ``exp`` (slow on -inf) and
+    exactly 0 after it. Every product and row reduction thus has a shape
+    set by the block alone, so a row is bitwise the same however many
+    positions or queries come with it. The [..., H, n, t] weights P are
+    kept only when the op builds a graph, for backward:
     dS = P * (dP - rowsum(dP * P)).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim < 2 or not q.shape == k.shape == v.shape or q.shape[-1] % n_heads:
-        raise ShapeError(f"causal_attention needs equal [..., T, d] operands with d "
-                         f"divisible by {n_heads} heads, got {q.shape}, {k.shape}, "
-                         f"{v.shape}")
-    *lead, t, d = q.shape
+    if (q.ndim < 2 or k.shape != v.shape or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1] or q.shape[-2] > k.shape[-2]
+            or q.shape[-1] % n_heads):
+        raise ShapeError(f"causal_attention needs [..., n, d] queries for the last n "
+                         f"of equal [..., t, d] keys and values, d divisible by "
+                         f"{n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    *lead, n, d = q.shape
+    t = k.shape[-2]
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
+    first = t - n  # the position of the first query
+    end = -(-t // ATTENTION_BLOCK) * ATTENTION_BLOCK
 
-    def split(a: np.ndarray) -> np.ndarray:  # [..., T, d] -> [..., H, T, dh]
-        return a.reshape(*lead, t, n_heads, dh).swapaxes(-3, -2)
+    def split(a: np.ndarray) -> np.ndarray:  # [..., m, d] -> [..., H, m, dh]
+        return a.reshape(*lead, a.shape[-2], n_heads, dh).swapaxes(-3, -2)
 
-    def merge(a: np.ndarray) -> np.ndarray:  # [..., H, T, dh] -> [..., T, d]
-        return a.swapaxes(-3, -2).reshape(q.shape)
+    def merge(a: np.ndarray) -> np.ndarray:  # [..., H, m, dh] -> [..., m, d]
+        return a.swapaxes(-3, -2).reshape(*lead, a.shape[-2], d)
 
-    qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
+    lo = first - first % ATTENTION_BLOCK  # the first query's block
+    # query tiles, zero where no query, and keys and values zero past t
+    qp = split(_padded(q.data * scale, first - lo, end - lo))
+    kp, vp = split(_padded(k.data, 0, end)), split(_padded(v.data, 0, end))
     graph = _builds_graph((q, k, v))
-    p = np.zeros((*lead, n_heads, t, t)) if graph else None
+    p = np.zeros((*lead, n_heads, n, t)) if graph else None
     out = np.empty(q.shape)
-    out_h = split(out)
-    for r0 in range(0, t, ATTENTION_BLOCK):
-        r1 = min(r0 + ATTENTION_BLOCK, t)
-        s = qh[..., r0:r1, :] @ kh[..., :r1, :].swapaxes(-1, -2)
-        diag, masked = s[..., r0:], _ABOVE_DIAGONAL[:r1 - r0, :r1 - r0]
+
+    def attend(r0: int) -> None:  # block [r0, r1); its scores die on return
+        r1 = r0 + ATTENTION_BLOCK
+        rows = slice(max(first, r0) - r0, min(t, r1) - r0)  # the tile's queries
+        s = qp[..., r0 - lo:r1 - lo, :] @ kp[..., :r1, :].swapaxes(-1, -2)
+        # each row's softmax stands alone: a tile of few queries runs it on
+        # a compact copy of them, a fuller one on the whole tile in place
+        compact = 2 * (rows.stop - rows.start) <= ATTENTION_BLOCK
+        soft = rows if compact else slice(None)
+        w = s[..., soft, :].copy() if compact else s
+        diag, masked = w[..., r0:], _ABOVE_DIAGONAL[soft]
         np.copyto(diag, -np.inf, where=masked)
-        s -= np.max(s, axis=-1, keepdims=True)
+        w -= np.max(w, axis=-1, keepdims=True)
         np.copyto(diag, 0.0, where=masked)
-        np.exp(s, out=s)
+        np.exp(w, out=w)
         np.copyto(diag, 0.0, where=masked)
-        s /= np.sum(s, axis=-1, keepdims=True)
-        out_h[..., r0:r1, :] = s @ vh[..., :r1, :]
+        w /= np.sum(w, axis=-1, keepdims=True)
+        if compact:
+            s[..., rows, :] = w
+        queries = slice(r0 + rows.start - first, r0 + rows.stop - first)
+        split(out)[..., queries, :] = (s @ vp[..., :r1, :])[..., rows, :]
         if graph:
-            p[..., r0:r1, :r1] = s
+            p[..., queries, :r1] = s[..., rows, :t]
+
+    for r0 in range(lo, t, ATTENTION_BLOCK):
+        attend(r0)
 
     def backward(g):
-        gh = split(g)
+        gh, qh = split(g), split(q.data) * scale
+        kh, vh = split(k.data), split(v.data)
         ds = gh @ vh.swapaxes(-1, -2)
         ds -= np.sum(ds * p, axis=-1, keepdims=True)
         ds *= p

@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import parameter_checksum
 from .doppelganger import BicameralModel, doppel_forward, parameters as doppel_parameters
 from .language import FrozenModelError, forward, named_parameters as lm_named
-from .optim import NumericError, OptimConfig, check_fields, epochs, groups, pad
+from .optim import NumericError, OptimConfig, check_fields, epochs, groups, norm, pad
 from .tensor import Tensor
 
 
@@ -94,6 +94,11 @@ class SyntheticTaskSpec:
         if self.corpus_tokens is not None:
             object.__setattr__(self, "corpus_tokens", tuple(self.corpus_tokens))
 
+    def split_sizes(self) -> tuple[int, int]:
+        """How many of the sequences go to the train and to the val split."""
+        n_val = int(round(self.n_sequences * self.val_fraction))
+        return self.n_sequences - n_val, n_val
+
     def label_fn(self):
         """The task's pure prefix-label function, tokens -> [T, 1] floats."""
         if self.kind == "forbidden-token":
@@ -151,8 +156,7 @@ def generate_synthetic_dataset(spec: SyntheticTaskSpec
     for _ in range(spec.n_sequences):
         tokens = _draw_tokens(spec, rng)
         data.append(SupervisedSequence(tokens=tokens, labels=label(tokens)))
-    n_val = int(round(spec.n_sequences * spec.val_fraction))
-    n_train = spec.n_sequences - n_val
+    n_train, _ = spec.split_sizes()
     return data[:n_train], data[n_train:]
 
 
@@ -264,8 +268,10 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
     shadow tower.
 
     Early-stops when validation BCE fails to improve for ``opt.patience``
-    epochs and restores the best-validation parameters. Epoch 0 in the
-    returned log is the untouched baseline.
+    epochs and restores the best-validation parameters. Each log record
+    is ``optim.epochs``' (epoch, train loss, gradient and parameter norms)
+    plus the validation loss and accuracy. Epoch 0 is the untouched
+    baseline; it takes no step, so its ``grad_norm`` is None.
     """
     if not bm.language.frozen:
         raise FrozenModelError("the language component must be frozen before "
@@ -278,18 +284,19 @@ def train_doppelganger(bm: BicameralModel, train: list[SupervisedSequence],
 
     base_train = _mean_bce(*_real_scores(bm.doppel, train_taps, train_labels, train_lengths))
     base_val, base_acc = _loss_and_metrics(*_real_scores(bm.doppel, *val_table))
-    log = [{"epoch": 0, "train_loss": base_train, "val_loss": base_val, "val_acc": base_acc}]
+    log = [{"epoch": 0, "train_loss": base_train, "grad_norm": None,
+            "param_norm": norm(p.data for p in params), "val_loss": base_val,
+            "val_acc": base_acc}]
 
     group_loss = partial(_group_loss, bm.doppel, train_taps, train_labels)
     best_val = base_val
     best_params = [p.data.copy() for p in params]
     since_best = 0
-    for epoch, train_loss in epochs(params, train_lengths, group_loss, opt):
+    for record in epochs(params, train_lengths, group_loss, opt):
         val_loss, val_acc = _loss_and_metrics(*_real_scores(bm.doppel, *val_table))
         if not np.isfinite(val_loss):
-            raise NumericError(f"validation loss is {val_loss} in epoch {epoch}")
-        log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
-                    "val_acc": val_acc})
+            raise NumericError(f"validation loss is {val_loss} in epoch {record['epoch']}")
+        log.append({**record, "val_loss": val_loss, "val_acc": val_acc})
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best_params = [p.data.copy() for p in params]

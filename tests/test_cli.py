@@ -104,8 +104,8 @@ class TestPipeline:
         lines = (tmp_path / "log.jsonl").read_text().strip().splitlines()
         entries = [json.loads(line) for line in lines]
         assert [e["epoch"] for e in entries] == list(range(len(entries)))
-        assert all(set(e) == {"epoch", "train_loss", "val_loss", "val_acc"}
-                   for e in entries)
+        assert all(set(e) == {"epoch", "train_loss", "grad_norm", "param_norm",
+                              "val_loss", "val_acc"} for e in entries)
 
     def test_generate_max_new_zero_emits_prompt_scores_only(self, tmp_path,
                                                             monkeypatch, capsys):
@@ -205,6 +205,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and name in err
         assert not (tmp_path / "report.jsonl").exists()
+
+    @pytest.mark.parametrize("edits", [
+        {("task", "val_fraction"): 0.0},  # an empty val split
+        {("task", "n_sequences"): 1, ("task", "val_fraction"): 0.75},  # empty train
+        {("task", "max_len"): 65, ("lm", "max_seq_len"): 64},
+        {("task", "max_len"): 300, ("lm",): {}},  # LMConfig's max_seq_len, 256
+    ], ids=["empty-val", "empty-train", "max_len-over-lm", "max_len-over-default"])
+    def test_make_data_refuses_splits_train_doppel_cannot_use(self, tmp_path,
+                                                              monkeypatch, capsys, edits):
+        config = write_workspace(tmp_path)
+        for key_path, value in edits.items():
+            edit_config(config, key_path, value)
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["--config", "run.json", "make-data"], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not any(tmp_path.glob("*.jsonl*"))
 
     def test_train_doppel_refuses_unfrozen_checkpoint(self, tmp_path, monkeypatch,
                                                       capsys):

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from bicameral.doppelganger import (BicameralModel, DoppelConfig, bicameral_forw
                                     init_doppelganger, score_prefixes)
 from bicameral.doppelganger import named_parameters as doppel_named
 from bicameral.generation import GenerationEvent, SamplerConfig, generate, sample
-from bicameral.language import (CharTokenizer, LMConfig, SequenceError, forward,
-                                freeze, init_language_model)
+from bicameral.language import (CharTokenizer, KVCache, LMConfig, SequenceError,
+                                forward, freeze, init_language_model)
 from bicameral.language import named_parameters as lm_named
 
 
@@ -177,8 +179,8 @@ class TestGenerate:
         bm = make_bicameral(seed=12)  # the shadow tower is trainable
         graphs = []
 
-        def recording(bm, tokens):
-            logits, scores = bicameral_forward(bm, tokens)
+        def recording(bm, tokens, cache):
+            logits, scores = bicameral_forward(bm, tokens, cache)
             graphs.append(scores.requires_grad)
             return logits, scores
 
@@ -194,3 +196,91 @@ class TestGenerate:
         stream = generate(bm, [0, 1], 16, SamplerConfig())
         next(stream)  # prompt event: exactly one pass so far
         assert bm.language.forward_calls == 1
+
+
+def model_state(bm):
+    """Each parameter's bytes and flags, and every attribute of the pair and
+    of both towers, by value or, for tensors, by identity; the language
+    tower's pass counter aside, since generating advances it."""
+    named = ([("lm." + n, p) for n, p in lm_named(bm.language)]
+             + [("doppel." + n, p) for n, p in doppel_named(bm.doppel)])
+    params = {n: (p.data.tobytes(), p.requires_grad, p.grad is None, p._parents)
+              for n, p in named}
+    attrs = [{k: v for k, v in vars(obj).items() if k != "forward_calls"}
+             for obj in (bm, bm.language, bm.doppel)]
+    return params, attrs
+
+
+class TestCachedDecode:
+    SAMPLERS = {"greedy": SamplerConfig(),
+                "top_k": SamplerConfig(strategy="top_k", k=3, seed=5),
+                "temperature": SamplerConfig(strategy="temperature", temperature=0.8,
+                                             seed=6)}
+
+    @pytest.mark.parametrize("strategy", SAMPLERS)
+    @pytest.mark.parametrize("prompt_len", [1, 31, 32, 33])
+    def test_every_event_equals_recomputation_up_to_max_seq_len(self, strategy,
+                                                                prompt_len):
+        # one-row steps through both towers' caches, across block boundaries
+        bm = make_bicameral(seed=20 + prompt_len, max_seq_len=72)
+        prompt = np.random.default_rng(prompt_len).integers(0, 6, size=prompt_len)
+        events = list(generate(bm, prompt, 72 - prompt_len, self.SAMPLERS[strategy]))
+        tokens = [e.token_id for e in events]
+        assert [e.pos for e in events] == list(range(72))
+        for e in events:
+            recomputed = score_prefixes(bm, tokens[:e.pos + 1]).data[-1]
+            assert np.asarray(e.scores).tobytes() == recomputed.tobytes()
+
+    def test_each_generated_token_runs_one_row(self, monkeypatch):
+        bm = make_bicameral(seed=21)
+        rows = []
+
+        def recording(bm, tokens, cache):
+            rows.append(len(tokens))
+            return bicameral_forward(bm, tokens, cache)
+
+        monkeypatch.setattr(generation, "bicameral_forward", recording)
+        list(generate(bm, [0, 1, 2], 5, SamplerConfig()))
+        assert rows == [3] + [1] * 5
+
+    def test_concurrent_generation_on_a_shared_model_matches_serial(self):
+        bm = make_bicameral(seed=22, max_seq_len=72)
+        requests = [([0, 1, 2], 60, self.SAMPLERS["greedy"]),
+                    ([3] * 31, 41, self.SAMPLERS["top_k"]),
+                    ([5, 4], 40, self.SAMPLERS["temperature"]),
+                    ([1, 2] * 16 + [0], 39, self.SAMPLERS["greedy"])]
+
+        def run(request):
+            return [(e.pos, e.token_id, e.scores) for e in generate(bm, *request)]
+
+        before = model_state(bm)
+        serial = [run(r) for r in requests]
+        results, errors = {}, []
+
+        def worker(w):
+            try:
+                for i in np.random.default_rng(w).permutation(len(requests)):
+                    results[w, int(i)] = run(requests[i])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and not errors
+        assert results == {(w, i): serial[i] for w in range(4) for i in range(len(requests))}
+        assert model_state(bm) == before
+
+    def test_cache_overflow_rejected(self):
+        bm = make_bicameral(seed=23, max_seq_len=8)
+        cache = (KVCache(8), KVCache(8))
+        bicameral_forward(bm, [0] * 6, cache)
+        with pytest.raises(SequenceError, match="exceeds"):
+            bicameral_forward(bm, [0] * 3, cache)

@@ -81,6 +81,17 @@ class TestMatmul:
         for ix in np.ndindex(2, 3):
             np.testing.assert_allclose(grouped[ix], a[ix] @ w, rtol=1e-12)
 
+    # the towers' widths, the 27-wide vocabulary head and a 1-wide score head
+    @pytest.mark.parametrize("k, p", [(64, 64), (64, 256), (256, 64), (64, 27), (32, 1)])
+    def test_rows_are_bitwise_invariant_across_lengths(self, k, p):
+        rng = np.random.default_rng(k + p)
+        a, w = Tensor(rng.normal(size=(100, k))), Tensor(rng.normal(size=(k, p)))
+        full = T.matmul(a, w).data
+        for t in range(1, 101):
+            assert T.matmul(Tensor(a.data[:t]), w).data.tobytes() == full[:t].tobytes()
+            row = T.matmul(Tensor(a.data[t - 1:t]), w, start=t - 1).data
+            assert row.tobytes() == full[t - 1:t].tobytes()
+
     # the last case is a per-member right operand, which no op needs
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3, 4)), ((2, 3, 4), (3, 4, 5)),
                                         ((2, 3, 4), (5, 2)),
@@ -181,6 +192,23 @@ class TestCausalAttention:
         for other in (without, run(False)):
             assert other.data.tobytes() == with_graph.data.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_queries_of_the_last_rows_match_the_full_pass(self, n):
+        rng = np.random.default_rng(n)
+        for t in (n, 33, 64, 70):
+            q, k, v = (rng.normal(size=(2, t, 16)) for _ in range(3))
+            full = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 4).data
+            last = T.causal_attention(Tensor(q[:, t - n:]), Tensor(k), Tensor(v), 4).data
+            assert last.tobytes() == full[:, t - n:].tobytes()
+
+    def test_gradcheck_with_queries_of_the_last_rows(self):
+        rng = np.random.default_rng(41)
+        q, k, v = rand(rng, 5, 4), rand(rng, 37, 4), rand(rng, 37, 4)
+        loss = probe(rng, (5, 4))
+        res = check_gradients("causal_attention", lambda: loss(T.causal_attention(q, k, v, 2)),
+                              [q, k, v])
+        assert res.ok, res.row()
+
     def test_gradcheck_across_a_block_boundary(self):
         rng = np.random.default_rng(40)
         q, k, v = rand(rng, 40, 4), rand(rng, 40, 4), rand(rng, 40, 4)
@@ -215,7 +243,9 @@ class TestCausalAttention:
 
     @pytest.mark.parametrize("shapes, n_heads", [(((4, 6), (4, 6), (5, 6)), 2),
                                                  (((4, 6), (4, 6), (4, 6)), 4),
-                                                 (((6,), (6,), (6,)), 1)])
+                                                 (((6,), (6,), (6,)), 1),
+                                                 (((5, 6), (4, 6), (4, 6)), 2),
+                                                 (((2, 4, 6), (3, 4, 6), (3, 4, 6)), 2)])
     def test_shape_errors(self, shapes, n_heads):
         with pytest.raises(ShapeError):
             T.causal_attention(*(Tensor(np.zeros(s)) for s in shapes), n_heads)

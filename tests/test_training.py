@@ -154,7 +154,8 @@ class TestTrainDoppelganger:
         train, val = generate_synthetic_dataset(forbidden_spec())
         log = train_doppelganger(bm, train, val, OptimConfig(epochs=0))
         assert len(log) == 1 and log[0]["epoch"] == 0
-        assert set(log[0].keys()) == {"epoch", "train_loss", "val_loss", "val_acc"}
+        assert set(log[0].keys()) == {"epoch", "train_loss", "grad_norm", "param_norm",
+                                      "val_loss", "val_acc"}
         after = [p.data for _, p in doppel_named(bm.doppel)]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -305,6 +306,36 @@ class TestEpochs:
                               OptimConfig(epochs=1, batch_size=6)))
         for p, b in zip(params, before):
             assert p.data.tobytes() == b.tobytes()
+
+
+    def test_records_carry_gradient_and_parameter_norms(self):
+        # a batch of 6 splits into groups of 4 and 2, each adding g: the one
+        # step per epoch sees the summed gradient 2g
+        params = [T.Tensor(np.ones(3), requires_grad=True),
+                  T.Tensor(np.zeros(2), requires_grad=True)]
+        g = np.array([3.0, -4.0, 12.0])
+
+        def constant_gradient(group, real, batch_len):
+            def backward(_):
+                params[0].grad = g.copy() if params[0].grad is None else params[0].grad + g
+            node = T.Tensor(0.0, True, _parents=(params[0],), _backward=backward)
+            return T.add(T.Tensor(0.5), node), 0.5, len(group)
+
+        records = list(optim.epochs(params, np.ones(6, dtype=int), constant_gradient,
+                                    OptimConfig(epochs=2, batch_size=6)))
+        assert [r["epoch"] for r in records] == [1, 2]
+        assert all(r["grad_norm"] == 26.0 for r in records)  # |2g| = 2 * 13
+        assert records[-1]["param_norm"] == pytest.approx(
+            np.sqrt(sum(np.sum(p.data ** 2) for p in params)), rel=1e-15)
+        assert records[0]["param_norm"] != records[1]["param_norm"]
+
+    def test_norms_are_deterministic(self):
+        train, val = generate_synthetic_dataset(forbidden_spec(seed=6))
+        logs = [train_doppelganger(make_bicameral(seed=7), train, val,
+                                   OptimConfig(epochs=2, seed=1)) for _ in range(2)]
+        assert logs[0] == logs[1]
+        assert logs[0][0]["grad_norm"] is None
+        assert all(r["grad_norm"] > 0.0 and r["param_norm"] > 0.0 for r in logs[0][1:])
 
 
 class TestEvaluate:
